@@ -486,14 +486,14 @@ func (ch *Chip) Step() CycleResult {
 // ---- front end ----
 
 func (m *module) decode(now uint64) {
-	cfg := m.chip.cfg
+	cfg := &m.chip.cfg
 	if cfg.SharedFrontEnd && len(m.cores) > 1 {
 		// Sibling threads alternate decode cycles; if the scheduled
 		// thread cannot use the slot at all, the partner takes it.
 		n := len(m.cores)
 		first := int(now) % n
 		for k := 0; k < n; k++ {
-			ci := (first + k) % n
+			ci := wrap(first+k, n)
 			if m.cores[ci].decodeReady(now) {
 				m.cores[ci].decode(now, cfg.DecodeWidth)
 				return
@@ -508,6 +508,15 @@ func (m *module) decode(now uint64) {
 	}
 }
 
+// wrap reduces i modulo n for 0 ≤ i < 2n without the per-cycle integer
+// division of i % n.
+func wrap(i, n int) int {
+	if i >= n {
+		return i - n
+	}
+	return i
+}
+
 // decodeReady reports whether the core can consume any decode slot.
 func (c *core) decodeReady(now uint64) bool {
 	if c.th == nil || c.waitBarrier >= 0 || now < c.stallUntil {
@@ -519,8 +528,7 @@ func (c *core) decodeReady(now uint64) bool {
 
 func (c *core) decode(now uint64, width int) {
 	ch := c.mod.chip
-	cfg := ch.cfg
-	pm := ch.pm
+	cfg, pm := &ch.cfg, &ch.pm
 	decoded := 0
 	intDisp, fpDisp := cfg.IntDispatch, cfg.FPDispatch
 	for decoded < width {
@@ -578,7 +586,7 @@ func (c *core) decode(now uint64, width int) {
 			}
 			fpDisp--
 			ch.res.EnergyPJ += pm.FrontEndPJPerOp
-			c.fpQ = append(c.fpQ, queued{u: *u, deps: c.rename(u)})
+			c.fpQ = c.enqueue(c.fpQ, u)
 			c.th.Consume()
 			decoded++
 		default:
@@ -599,7 +607,7 @@ func (c *core) decode(now uint64, width int) {
 			if tpl.isMem {
 				c.lsq++
 			}
-			c.intQ = append(c.intQ, queued{u: *u, deps: c.rename(u)})
+			c.intQ = c.enqueue(c.intQ, u)
 			c.th.Consume()
 			decoded++
 		}
@@ -673,6 +681,17 @@ func (c *core) rename(u *Uop) depSet {
 	return deps
 }
 
+// enqueue appends u and its renamed dependencies to q, filling the new
+// entry in place. Decode checks occupancy first, and NewChip sizes each
+// queue's capacity from ChipConfig, so the entry always fits.
+func (c *core) enqueue(q []queued, u *Uop) []queued {
+	n := len(q)
+	q = q[:n+1]
+	q[n].u = *u
+	q[n].deps = c.rename(u)
+	return q
+}
+
 // ---- integer cluster ----
 
 func (c *core) depsReady(deps *depSet, now uint64) bool {
@@ -693,7 +712,7 @@ func (c *core) depsReady(deps *depSet, now uint64) bool {
 }
 
 func (c *core) issueInt(now uint64) {
-	cfg := c.mod.chip.cfg
+	cfg := &c.mod.chip.cfg
 	alu, agu, lsu := cfg.NumALU, cfg.NumAGU, cfg.LSUPorts
 	imul := 1
 	for i := 0; i < len(c.intQ); {
@@ -756,7 +775,7 @@ func (c *core) issueInt(now uint64) {
 // takeMSHR claims a miss-status register until the fill completes;
 // false when all are busy (the access must retry next cycle).
 func (c *core) takeMSHR(now uint64, level memLevel) bool {
-	lat, _ := level.latencyEnergy(c.mod.chip.cfg)
+	lat, _ := level.latencyEnergy(&c.mod.chip.cfg)
 	for i := range c.mshr {
 		if c.mshr[i] <= now {
 			c.mshr[i] = now + lat
@@ -775,7 +794,7 @@ func (c *core) execute(u *Uop, now uint64, unit isa.Unit) {
 	var extraPJ float64
 	if tpl.isMem {
 		c.lsq--
-		lat, extraPJ = u.memLevel.latencyEnergy(ch.cfg)
+		lat, extraPJ = u.memLevel.latencyEnergy(&ch.cfg)
 	}
 	cc := now + lat
 	if tpl.dstIdx >= 0 {
@@ -817,7 +836,7 @@ func (c *core) busSlot(cc uint64) uint64 {
 // ---- floating-point cluster ----
 
 func (m *module) issueFP(now uint64) {
-	cfg := m.chip.cfg
+	cfg := &m.chip.cfg
 	if cfg.SharedFPU {
 		budget := cfg.NumFPPipes
 		if t := m.chip.throttle; t > 0 && t < budget {
@@ -829,14 +848,14 @@ func (m *module) issueFP(now uint64) {
 		for issued := true; budget > 0 && issued; {
 			issued = false
 			for k := 0; k < n && budget > 0; k++ {
-				c := m.cores[(m.fpToken+k)%n]
+				c := m.cores[wrap(m.fpToken+k, n)]
 				if c.issueOneFP(now) {
 					budget--
 					issued = true
 				}
 			}
 		}
-		m.fpToken = (m.fpToken + 1) % n
+		m.fpToken = wrap(m.fpToken+1, n)
 		return
 	}
 	// Private FPUs: per-core budget, per-core throttle.
@@ -905,7 +924,7 @@ const (
 	levelMem
 )
 
-func (l memLevel) latencyEnergy(cfg uarch.ChipConfig) (uint64, float64) {
+func (l memLevel) latencyEnergy(cfg *uarch.ChipConfig) (uint64, float64) {
 	switch l {
 	case levelL1:
 		return uint64(cfg.L1Lat), 0

@@ -682,12 +682,12 @@ func TestBadPredictorRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkCaptureHotLoop is the capture-side acceptance benchmark: one
-// Chip.Step per iteration on a fully-populated Bulldozer chip running a
-// representative stressmark mix (FP pipes, integer cluster, loads and
-// stores, a barrier). One op is one simulated cycle, so cycles/sec =
-// 1e9 / (ns/op); the steady-state allocation bar is 0 allocs/op.
-func BenchmarkCaptureHotLoop(b *testing.B) {
+// hotLoopChip builds the capture acceptance chip: a fully-populated
+// Bulldozer running a representative stressmark mix (FP pipes, integer
+// cluster, loads and stores, a barrier) with an effectively endless
+// loop counter.
+func hotLoopChip(tb testing.TB) *Chip {
+	tb.Helper()
 	cfg := uarch.Bulldozer()
 	bb := asm.NewBuilder("capture-bench")
 	bb.SetMem(1 << 14)
@@ -706,19 +706,47 @@ func BenchmarkCaptureHotLoop(b *testing.B) {
 	p := bb.MustBuild()
 	ch, err := NewChip(cfg, power.BulldozerModel())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for m := 0; m < cfg.Modules; m++ {
 		for c := 0; c < cfg.CoresPerModule; c++ {
 			th, err := NewThread(p, 0)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if err := ch.Attach(m, c, th); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
+	return ch
+}
+
+// TestCaptureHotLoopAllocs is the deterministic half of the capture
+// gate: allocation counts do not depend on the machine, so unlike the
+// benchmark's ns/op this runs on every go test. Chip.Step must not
+// allocate at all. One run of 5000 cycles is measured as a whole,
+// because AllocsPerRun truncates its per-run mean to an integer and
+// would hide a rate below one allocation per cycle.
+func TestCaptureHotLoopAllocs(t *testing.T) {
+	ch := hotLoopChip(t)
+	const cycles = 5000
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < cycles; i++ {
+			ch.Step()
+		}
+	})
+	if n != 0 {
+		t.Errorf("Chip.Step allocates %v times in %d cycles, want 0", n, cycles)
+	}
+}
+
+// BenchmarkCaptureHotLoop is the capture-side acceptance benchmark: one
+// Chip.Step per iteration on the hotLoopChip. One op is one simulated
+// cycle, so cycles/sec = 1e9 / (ns/op); the steady-state allocation bar
+// is 0 allocs/op (TestCaptureHotLoopAllocs).
+func BenchmarkCaptureHotLoop(b *testing.B) {
+	ch := hotLoopChip(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -233,11 +233,47 @@ func equivScenarios() []equivScenario {
 			attachAll(t, ch, prog, 0)
 			return ch
 		}},
+		{name: "gshare-loop", cycles: 5000, setup: func(t *testing.T) *Chip {
+			// A forward branch whose direction follows the low bits of an
+			// induction variable (taken three iterations in four), so the
+			// gshare table and global history both shape the front end.
+			prog := mustProgram(t, "gshare", func(b *asm.Builder) {
+				b.InitToggle(16, 8)
+				b.RI("movimm", isa.RCX, 1<<30)
+				b.RI("movimm", isa.RAX, 0)
+				b.RI("movimm", isa.RDX, 1)
+				b.RI("movimm", isa.GPR(8), 3)
+				b.Label("loop")
+				b.RR("add", isa.RAX, isa.RDX)
+				b.RR("mov", isa.RBX, isa.RAX)
+				b.RR("and", isa.RBX, isa.GPR(8))
+				b.Branch("jnz", "skip")
+				b.RR("imul", isa.RSI, isa.RAX)
+				b.RRR("mulpd", isa.XMM(0), isa.XMM(1), isa.XMM(2))
+				b.Label("skip")
+				b.RRR("addpd", isa.XMM(3), isa.XMM(4), isa.XMM(5))
+				b.RR("xor", isa.RDI, isa.RAX)
+				b.RR("dec", isa.RCX, isa.RCX)
+				b.Branch("jnz", "loop")
+			})
+			cfg := uarch.Bulldozer()
+			cfg.Predictor = "gshare"
+			ch, err := NewChip(cfg, power.BulldozerModel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			attachAll(t, ch, prog, 0)
+			return ch
+		}},
 	}
 }
 
 // goldenCaptureHashes holds the recorded hashes of the pre-template
-// interpreter. See the file comment for how to regenerate.
+// interpreter. See the file comment for how to regenerate. "gshare-loop"
+// was added later: it was recorded on the by-value capture loop (config,
+// power model and lookahead uop copied every cycle), before that loop
+// was made copy-free, so it pins the gshare predict/record path across
+// that change.
 var goldenCaptureHashes = map[string]uint64{
 	"fma-loop":         0x2B330E2AC8843023,
 	"int-mix":          0x607D83EFFEEC4531,
@@ -245,6 +281,7 @@ var goldenCaptureHashes = map[string]uint64{
 	"barrier-sync":     0xE736DCA0FEACB251,
 	"throttled-skewed": 0x7783EBDD33681FF1,
 	"phenom-mixed":     0x2FFD049FC3961C39,
+	"gshare-loop":      0x4477FADFF924BE5F,
 }
 
 func TestGoldenCaptureEquivalence(t *testing.T) {

@@ -114,7 +114,7 @@ func (t *Thread) prime() {
 	if t.primed {
 		return
 	}
-	t.cur, t.curOK = t.step()
+	t.curOK = t.step(&t.cur)
 	t.primed = true
 }
 
@@ -145,15 +145,17 @@ func (t *Thread) stateFP() uint64 {
 }
 
 // step executes one instruction functionally, driven entirely by the
-// pre-decoded template of the static instruction at pc.
-func (t *Thread) step() (Uop, bool) {
+// pre-decoded template of the static instruction at pc, and writes the
+// uop into *u (the lookahead slot) in place. It reports false, leaving
+// *u untouched, once the stream is exhausted.
+func (t *Thread) step(u *Uop) bool {
 	if t.done || t.pc < 0 || t.pc >= len(t.tmpl) ||
 		(t.maxInstrs > 0 && t.seq >= t.maxInstrs) {
 		t.done = true
-		return Uop{}, false
+		return false
 	}
 	tpl := &t.tmpl[t.pc]
-	u := Uop{In: tpl.in, tpl: tpl, BarrierID: -1, Seq: t.seq}
+	*u = Uop{In: tpl.in, tpl: tpl, BarrierID: -1, Seq: t.seq}
 	t.seq++
 
 	// Resolve address for memory-shaped ops.
@@ -203,7 +205,7 @@ func (t *Thread) step() (Uop, bool) {
 		} else {
 			t.pc++
 		}
-		return u, true
+		return true
 	}
 
 	res := tpl.exec(dstOld, src1, src2, t.globalBase+localAddr, memv)
@@ -215,7 +217,7 @@ func (t *Thread) step() (Uop, bool) {
 		}
 	}
 	t.pc++
-	return u, true
+	return true
 }
 
 // flagWriting reports whether the class updates the zero flag, matching

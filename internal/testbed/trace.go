@@ -342,7 +342,9 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 		}
 		tr.energy = append(tr.energy, res.EnergyPJ)
 		tr.issues = append(tr.issues, packed)
-		if det != nil {
+		// A disabled detector ignores every later boundary, so the
+		// fingerprint is only computed while detection is live.
+		if det != nil && !det.disabled {
 			// The fingerprint mixes the approximate control state with
 			// this cycle's exact trace record (capturing data-toggle
 			// activity compactly) and the dither phases — so a detected

@@ -151,7 +151,10 @@ func decodePayload(p []byte) (*Record, bool) {
 	rec.PerRetired = next()
 	n := next()
 	nIssues := next()
-	if !ok || n > maxPayloadBytes/8 || nIssues > maxPayloadBytes/8 {
+	// Replay indexes Issues by Energy's cycle index, so a record whose
+	// two streams differ in length must never decode (v1 stores one
+	// shared count and cannot express it).
+	if !ok || n > maxPayloadBytes/8 || nIssues != n {
 		return nil, false
 	}
 	var energy []float64

@@ -10,8 +10,9 @@ import (
 // shapeRecords enumerates every Record shape the codec must carry
 // exactly: empty, unsupported, aperiodic, periodic with and without a
 // head, adversarial float patterns (NaN payloads, infinities, negative
-// zero, denormals), issue words exercising every varint width, and
-// mismatched Energy/Issues lengths.
+// zero, denormals) and issue words exercising every varint width.
+// Records whose Energy and Issues lengths differ are not a legal shape:
+// TestV2RejectsMismatchedLengths holds the decoder to refusing them.
 func shapeRecords() map[string]*Record {
 	nan := math.Float64frombits(0x7ff8_dead_beef_0001) // NaN with payload
 	shapes := map[string]*Record{
@@ -37,14 +38,6 @@ func shapeRecords() map[string]*Record {
 				math.SmallestNonzeroFloat64, 1, 1, 1,
 			},
 			Issues: make([]uint64, 13),
-		},
-		"issues-longer-than-energy": {
-			Energy: []float64{1},
-			Issues: []uint64{1, 2, 3, 4},
-		},
-		"energy-longer-than-issues": {
-			Energy: []float64{1, 2, 3, 4},
-			Issues: []uint64{9},
 		},
 		"capture-ns": {
 			Energy:    []float64{1, 1},
@@ -225,6 +218,43 @@ func TestRawBlobAPI(t *testing.T) {
 	}
 	if err := s2.PutRaw(addr, nil); err == nil {
 		t.Error("PutRaw accepted an empty blob")
+	}
+}
+
+// TestV2RejectsMismatchedLengths pins a trust-boundary invariant:
+// replay walks Energy and Issues in lockstep, so a checksum-valid v2
+// blob carrying streams of different lengths (which Encode will happily
+// serialise) must decode as a miss and be refused by PutRaw — the path
+// behind the coordinator's /v1/trace PUT — instead of reaching a worker
+// whose replay would panic on it.
+func TestV2RejectsMismatchedLengths(t *testing.T) {
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aperiodic := sampleRecord(64, 9)
+	aperiodic.Periodic = false
+	aperiodic.Issues = aperiodic.Issues[:3]
+	periodic := sampleRecord(64, 9) // head 16 + period 48
+	periodic.Issues = append(periodic.Issues, 7)
+	for name, rec := range map[string]*Record{
+		"issues-longer-than-energy": {Energy: []float64{1}, Issues: []uint64{1, 2, 3, 4}},
+		"energy-longer-than-issues": {Energy: []float64{1, 2, 3, 4}, Issues: []uint64{9}},
+		"no-issues":                 {Energy: []float64{1, 2}},
+		"aperiodic-short-issues":    aperiodic,
+		"periodic-extra-issue":      periodic,
+	} {
+		blob := Encode(rec)
+		if _, ok := Decode(blob); ok {
+			t.Errorf("%s: Decode accepted len(Issues)=%d != len(Energy)=%d", name, len(rec.Issues), len(rec.Energy))
+		}
+		key := []byte(name)
+		if err := s.PutRaw(Addr(key), blob); err == nil {
+			t.Errorf("%s: PutRaw stored a record with mismatched stream lengths", name)
+		}
+		if _, ok := s.Get(key); ok {
+			t.Errorf("%s: refused record served as a hit", name)
+		}
 	}
 }
 
