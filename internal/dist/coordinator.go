@@ -419,18 +419,43 @@ func (c *Coordinator) expireLocked() {
 	}
 }
 
-// requeueLocked returns a revoked/failed unit to the queue, demoting
-// it to local evaluation when its remote attempts are spent.
+// requeueLocked returns a revoked/failed unit to the back of the queue.
 func (c *Coordinator) requeueLocked(u *unit) {
+	c.stats.Requeues++
+	c.pending = append(c.pending, u)
+	c.unleaseLocked(u)
+}
+
+// unleaseLocked makes a unit already back in the queue pending again,
+// demoting it to local evaluation when its remote attempts are spent,
+// and wakes everyone waiting on the queue.
+func (c *Coordinator) unleaseLocked(u *unit) {
 	u.state = unitPending
 	u.worker = ""
-	c.stats.Requeues++
 	if u.attempts >= c.cfg.MaxUnitRetries {
 		u.local = true
 		c.logf("dist: unit %d spent %d remote attempts, demoting to local", u.id, u.attempts)
 	}
-	c.pending = append(c.pending, u)
 	c.cond.Broadcast()
+}
+
+// releaseStrandedLocked hands back, to the head of the queue, every
+// unit still leased to w. A worker serves one unit at a time, so a new
+// lease from w proves it holds none of them: the reply that carried
+// such a unit was lost (a duplicated RPC whose first reply was
+// discarded, a client gone mid-hold), or w gave the unit up (a result
+// it could not deliver, a restart under the same ID). There is no
+// strike, but the remote attempt stays spent, so a unit that keeps
+// killing its worker still drops to local after MaxUnitRetries.
+func (c *Coordinator) releaseStrandedLocked(w *workerState) {
+	for _, u := range c.units {
+		if u.state != unitLeased || u.worker != w.id {
+			continue
+		}
+		c.logf("dist: worker %s leased again, releasing unit %d", w.id, u.id)
+		c.pending = append([]*unit{u}, c.pending...)
+		c.unleaseLocked(u)
+	}
 }
 
 // strikeLocked records one failure against a worker, suspending it
@@ -538,8 +563,9 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// jsonEndpoint adapts func(req) reply to an http.HandlerFunc.
-func jsonEndpoint[Req, Reply any](f func(*Req) *Reply) http.HandlerFunc {
+// jsonEndpoint adapts func(ctx, req) reply to an http.HandlerFunc; ctx
+// is the request's context.
+func jsonEndpoint[Req, Reply any](f func(context.Context, *Req) *Reply) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -551,7 +577,7 @@ func jsonEndpoint[Req, Reply any](f func(*Req) *Reply) http.HandlerFunc {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(f(&req))
+		json.NewEncoder(w).Encode(f(r.Context(), &req))
 	}
 }
 
@@ -559,7 +585,7 @@ func jsonEndpoint[Req, Reply any](f func(*Req) *Reply) http.HandlerFunc {
 // (the ID is worker-supplied); a re-registration under a known ID
 // resets the circuit breaker — a restarted process is a fresh worker,
 // and eviction is meant to stop a sick process, not ban its name.
-func (c *Coordinator) register(req *registerRequest) *registerReply {
+func (c *Coordinator) register(_ context.Context, req *registerRequest) *registerReply {
 	if req.WorkerID == "" {
 		return &registerReply{Error: "dist: register: empty worker id"}
 	}
@@ -584,45 +610,82 @@ func (c *Coordinator) register(req *registerRequest) *registerReply {
 	return &registerReply{OK: true}
 }
 
-// lease hands the oldest pending unit to a polling worker.
-func (c *Coordinator) lease(req *leaseRequest) *leaseReply {
+// leaseHold is how long an idle lease is held, and the retry hint for
+// a worker that must come back later: LeaseTTL/6, at least 1ms.
+func (c *Coordinator) leaseHold() time.Duration {
+	return max(c.cfg.LeaseTTL/6, time.Millisecond)
+}
+
+// lease hands the oldest pending unit to a polling worker. On an empty
+// queue it holds the request for up to leaseHold and returns the first
+// unit queued in that window, so an idle worker starts on a new batch
+// as soon as it is enqueued instead of after a poll sleep. Every wake
+// (a broadcast on c.cond, the hold timer, or ctx ending because the
+// client left or the server closed) re-checks eviction, suspension and
+// lease expiry. A suspended worker gets the hold as a sleep hint; an
+// empty reply after a full hold carries RetryMs 0, and the worker polls
+// again at once.
+func (c *Coordinator) lease(ctx context.Context, req *leaseRequest) *leaseReply {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.workers[req.WorkerID]
 	if w == nil {
 		return &leaseReply{Unregistered: true}
 	}
-	if w.evicted {
-		return &leaseReply{Evicted: true}
-	}
-	w.lastSeen = c.now()
-	idle := &leaseReply{RetryMs: (c.cfg.LeaseTTL / 6).Milliseconds()}
-	if idle.RetryMs < 1 {
-		idle.RetryMs = 1
-	}
-	if c.now().Before(w.suspendedUntil) {
-		return idle
-	}
-	c.expireLocked() // a revoked lease may be re-issuable right now
-	for len(c.pending) > 0 {
-		u := c.pending[0]
-		c.pending = c.pending[1:]
-		if u.state != unitPending || u.local {
-			continue // withdrawn, raced done, or demoted to local
+	c.releaseStrandedLocked(w)
+
+	// Both wakers broadcast under c.mu, so neither can fire between a
+	// check below and the cond.Wait that follows it.
+	hold := c.leaseHold()
+	held := false // the hold is over
+	timer := time.AfterFunc(hold, func() {
+		c.mu.Lock()
+		held = true
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer timer.Stop()
+	defer context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})()
+
+	for {
+		if w.evicted {
+			return &leaseReply{Evicted: true}
 		}
-		u.state = unitLeased
-		u.worker = w.id
-		u.deadline = c.now().Add(c.cfg.LeaseTTL)
-		u.attempts++
-		return &leaseReply{Unit: u.wire, LeaseMs: c.cfg.LeaseTTL.Milliseconds()}
+		w.lastSeen = c.now()
+		if c.now().Before(w.suspendedUntil) {
+			return &leaseReply{RetryMs: hold.Milliseconds()}
+		}
+		if ctx.Err() != nil {
+			return &leaseReply{} // the client is gone: lease it nothing
+		}
+		c.expireLocked() // a revoked lease may be re-issuable right now
+		for len(c.pending) > 0 {
+			u := c.pending[0]
+			c.pending = c.pending[1:]
+			if u.state != unitPending || u.local {
+				continue // withdrawn, raced done, or demoted to local
+			}
+			u.state = unitLeased
+			u.worker = w.id
+			u.deadline = c.now().Add(c.cfg.LeaseTTL)
+			u.attempts++
+			return &leaseReply{Unit: u.wire, LeaseMs: c.cfg.LeaseTTL.Milliseconds()}
+		}
+		if held {
+			return &leaseReply{}
+		}
+		c.cond.Wait()
 	}
-	return idle
 }
 
 // heartbeat extends a live lease; OK=false tells the worker its lease
 // is gone (expired and reassigned, or already merged) and the unit
 // must be abandoned.
-func (c *Coordinator) heartbeat(req *heartbeatRequest) *heartbeatReply {
+func (c *Coordinator) heartbeat(_ context.Context, req *heartbeatRequest) *heartbeatReply {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if w := c.workers[req.WorkerID]; w != nil {
@@ -642,7 +705,7 @@ func (c *Coordinator) heartbeat(req *heartbeatRequest) *heartbeatReply {
 // discarded. Determinism does not depend on WHICH post wins — all of
 // them carry the same pure-function values — only the merge's
 // at-most-once discipline.
-func (c *Coordinator) result(req *resultRequest) *resultReply {
+func (c *Coordinator) result(_ context.Context, req *resultRequest) *resultReply {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	w := c.workers[req.WorkerID]

@@ -74,8 +74,7 @@ func fastCoordinator(t *testing.T, local LocalRunner, mut func(*Config)) (*Coord
 func startWorker(t *testing.T, url, id string, runner testbed.ContextBatchRunner) (cancel func(), done chan error) {
 	t.Helper()
 	w, err := NewWorker(WorkerConfig{
-		ID: id, BaseURL: url, Runner: runner,
-		Poll: 5 * time.Millisecond, Logf: t.Logf,
+		ID: id, BaseURL: url, Runner: runner, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -137,7 +137,6 @@ func (p *workerPool) spawn() {
 	p.nextID++
 	w, err := NewWorker(WorkerConfig{
 		ID: id, BaseURL: p.url, Runner: cp, Platform: p.digest,
-		Poll: 5 * time.Millisecond,
 	})
 	if err != nil {
 		p.mu.Unlock()

@@ -110,13 +110,9 @@ func (c *Coordinator) traceGet(w http.ResponseWriter, addr, worker string) {
 	if f := c.flights[addr]; f != nil && f.owner != worker {
 		if c.flightOwnerLiveLocked(f, now) {
 			// Someone else is capturing this very trace. Tell the asker
-			// to wait; the poll cadence mirrors the lease idle poll.
+			// to wait and re-ask after one lease hold.
 			c.traceStats.Waits++
-			retry := (c.cfg.LeaseTTL / 6).Milliseconds()
-			if retry < 1 {
-				retry = 1
-			}
-			w.Header().Set("Retry-After-Ms", strconv.FormatInt(retry, 10))
+			w.Header().Set("Retry-After-Ms", strconv.FormatInt(c.leaseHold().Milliseconds(), 10))
 			w.WriteHeader(http.StatusAccepted)
 			return
 		}

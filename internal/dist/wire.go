@@ -91,7 +91,9 @@ type leaseReply struct {
 	// LeaseMs is the lease TTL; the worker must heartbeat well inside
 	// it or the unit is revoked and reissued.
 	LeaseMs int64 `json:"lease_ms,omitempty"`
-	// RetryMs is the suggested idle poll delay when Unit is nil.
+	// RetryMs is how long to wait before leasing again when Unit is
+	// nil: 0 after the coordinator held the request for a full hold,
+	// the hold length when the worker is suspended.
 	RetryMs int64 `json:"retry_ms,omitempty"`
 	// Unregistered tells the worker the coordinator does not know it
 	// (e.g. the coordinator restarted); the worker re-registers.

@@ -26,7 +26,8 @@ var ErrPlatformMismatch = fmt.Errorf("dist: platform digest mismatch")
 type WorkerConfig struct {
 	// ID names this worker to the coordinator. Must be unique per live
 	// process; reusing an ID after a restart is fine (it resets the
-	// breaker), sharing one between live processes is not.
+	// breaker), sharing one between live processes is not: a lease
+	// request tells the coordinator that its sender holds no unit.
 	ID string
 	// BaseURL is the coordinator's address, e.g. "http://host:7070".
 	BaseURL string
@@ -39,9 +40,6 @@ type WorkerConfig struct {
 	// Parallel is the capture parallelism handed to MeasureBatchContext
 	// (default 1).
 	Parallel int
-	// Poll is the idle poll floor (default 25ms; the coordinator's
-	// RetryMs suggestion is used when larger).
-	Poll time.Duration
 	// HTTPClient, when non-nil, carries the RPCs — the seam where the
 	// chaos tests splice in faults.NetFaults.
 	HTTPClient *http.Client
@@ -83,9 +81,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = 1
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 25 * time.Millisecond
 	}
 	client := cfg.HTTPClient
 	if client == nil {
@@ -203,11 +198,11 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		case lease.Unit == nil:
-			idle := w.cfg.Poll
-			if d := time.Duration(lease.RetryMs) * time.Millisecond; d > idle {
-				idle = d
-			}
-			if err := sleepCtx(ctx, idle); err != nil {
+			// The coordinator held the request while its queue was
+			// empty, so an empty reply re-polls at once. RetryMs is a
+			// sleep hint for a suspended worker, or from a coordinator
+			// that does not hold leases.
+			if err := sleepCtx(ctx, time.Duration(lease.RetryMs)*time.Millisecond); err != nil {
 				return err
 			}
 			continue
@@ -272,7 +267,7 @@ func (w *Worker) serve(ctx context.Context, wu *WireUnit, ttl time.Duration) {
 	var reply resultReply
 	if err := w.rpcRetry(ctx, "/v1/result", &res, &reply, 5); err != nil {
 		w.logf("dist: worker %s: could not deliver unit %d: %v", w.cfg.ID, wu.ID, err)
-		return // the lease will expire and the unit will be reissued
+		return // our next lease releases the unit for reissue
 	}
 	w.mu.Lock()
 	w.stats.Units++
