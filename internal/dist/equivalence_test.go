@@ -133,6 +133,15 @@ func (p *workerPool) spawn() {
 		return
 	}
 	p.mu.Lock()
+	select {
+	case <-p.stop:
+		// close already cancelled the pool: a replacement the reaper
+		// spawns now would never be cancelled, and close would wait
+		// for it forever.
+		p.mu.Unlock()
+		return
+	default:
+	}
 	id := fmt.Sprintf("pw%d", p.nextID)
 	p.nextID++
 	w, err := NewWorker(WorkerConfig{
@@ -145,8 +154,8 @@ func (p *workerPool) spawn() {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	p.cancels[id] = cancel
-	p.mu.Unlock()
 	p.wg.Add(1)
+	p.mu.Unlock()
 	go func() {
 		defer p.wg.Done()
 		w.Run(ctx)
@@ -154,8 +163,8 @@ func (p *workerPool) spawn() {
 }
 
 func (p *workerPool) close() {
-	p.stopOnce.Do(func() { close(p.stop) })
 	p.mu.Lock()
+	p.stopOnce.Do(func() { close(p.stop) })
 	for _, cancel := range p.cancels {
 		cancel()
 	}

@@ -174,11 +174,12 @@ func TestBatchUsesTier(t *testing.T) {
 	}
 }
 
-// TestCrossVersionWarmStart downgrades a warm store directory to the
-// legacy v1 record format in place — the directory an older binary
-// would have left behind — and checks the warm start still serves it,
-// DeepEqual to the v2-warm run.
-func TestCrossVersionWarmStart(t *testing.T) {
+// TestLegacyRecordsAreMisses stamps every record of a warm store
+// directory with the legacy v1 magic — the directory an older binary
+// would have left behind — and checks the next run treats them as
+// version-skew misses: it recaptures, measures DeepEqual to the cold
+// run and leaves the directory rewritten as v2.
+func TestLegacyRecordsAreMisses(t *testing.T) {
 	p := Bulldozer()
 	dir := t.TempDir()
 	rc := storeRunConfig(t, p, "xver", 96)
@@ -189,32 +190,22 @@ func TestCrossVersionWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewrite every record as v1, as if an old binary had written it.
-	ents, err := os.ReadDir(dir)
+	paths, err := filepath.Glob(filepath.Join(dir, "*.trace"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	downgraded := 0
-	for _, e := range ents {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".trace" {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
+	if len(paths) == 0 {
+		t.Fatal("no records to downgrade")
+	}
+	for _, path := range paths {
 		blob, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, ok := tracestore.Decode(blob)
-		if !ok {
-			t.Fatalf("stored record %s does not decode", e.Name())
-		}
-		if err := os.WriteFile(path, tracestore.EncodeV1(rec), 0o644); err != nil {
+		copy(blob, "AUDTRC1\n")
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		downgraded++
-	}
-	if downgraded == 0 {
-		t.Fatal("no records to downgrade")
 	}
 
 	warm := compiledWithStore(t, p, dir)
@@ -223,13 +214,20 @@ func TestCrossVersionWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := warm.TraceStats()
-	if ts.StoreHits != 1 || ts.Captures != 0 {
-		t.Fatalf("v1-warm run store hits/captures = %d/%d, want 1/0", ts.StoreHits, ts.Captures)
-	}
-	if ts.CaptureNSSaved != 0 {
-		t.Error("v1 record claimed capture-ns-saved it cannot carry")
+	if ts.StoreHits != 0 || ts.StoreMisses != 1 || ts.Captures != 1 {
+		t.Fatalf("v1-warm run store hits/misses/captures = %d/%d/%d, want 0/1/1",
+			ts.StoreHits, ts.StoreMisses, ts.Captures)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Error("v1-warm measurement differs from v2-cold measurement")
+		t.Error("measurement after recapture differs from the cold measurement")
+	}
+	for _, path := range paths {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := tracestore.Decode(blob); !ok {
+			t.Errorf("%s not rewritten as a decodable record", filepath.Base(path))
+		}
 	}
 }

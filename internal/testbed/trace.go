@@ -111,7 +111,7 @@ type chipTrace struct {
 	maxEnergy float64
 
 	// captureNS is how long phase-1 capture of this trace took (zero
-	// when unknown, e.g. loaded from a v1 record). Telemetry only: it
+	// when unknown). Telemetry only: it
 	// travels with the record so store and tier hits can report how
 	// much capture time they saved, and never touches any
 	// deterministic output.
@@ -467,7 +467,7 @@ type TraceStats struct {
 	WireBytes uint64
 	// CaptureNSSaved sums the recorded phase-1 cost of every trace the
 	// store or tier served in place of a recapture — the data plane's
-	// dividend. Zero-cost for v1 records, which predate the telemetry.
+	// dividend.
 	CaptureNSSaved uint64
 	// Captures counts phase-1 buildTrace invocations — the recaptures
 	// the caches failed to prevent. A warm run reports zero.

@@ -81,41 +81,73 @@ func TestV2RoundTripAllShapes(t *testing.T) {
 	}
 }
 
-// TestV1StillDecodes proves coexistence: a directory written by an old
-// binary keeps serving hits after the upgrade, via both the codec-level
-// Decode dispatch and a Store handle.
-func TestV1StillDecodes(t *testing.T) {
-	want := sampleRecord(64, 5)
-	got, ok := Decode(EncodeV1(want))
-	if !ok {
-		t.Fatal("v1 blob failed to decode through the dispatching Decode")
+// v1Size is the size of rec in the legacy flat v1 format, the
+// baseline the v2 compression ratio is measured against: a 264-byte
+// frame (magic, 30 fixed-width header and counter words, the cycle
+// count, the checksum) plus 16 bytes per cycle.
+func v1Size(rec *Record) int { return 264 + 16*len(rec.Energy) }
+
+// v1Blob fabricates rec in the legacy v1 layout an older binary wrote:
+// magic, fixed-width little-endian words, the two per-cycle arrays and
+// an FNV-1a checksum over everything before it.
+func v1Blob(rec *Record) []byte {
+	var flags uint64
+	for i, f := range []bool{rec.Done, rec.Unsupported, rec.Periodic} {
+		if f {
+			flags |= 1 << i
+		}
 	}
-	recordsIdentical(t, "v1", got, want)
+	words := []uint64{flags, uint64(rec.HeadLen), uint64(rec.PeriodLen)}
+	words = append(words, rec.EndStats[:]...)
+	words = append(words, rec.RefStats[:]...)
+	words = append(words, rec.PerStats[:]...)
+	words = append(words, rec.EndRetired, rec.RefRetired, rec.PerRetired, uint64(len(rec.Energy)))
+	for _, e := range rec.Energy {
+		words = append(words, math.Float64bits(e))
+	}
+	words = append(words, rec.Issues...)
+	b := []byte("AUDTRC1\n")
+	for _, w := range words {
+		b = appendU64(b, w)
+	}
+	return appendU64(b, fnv1a(b))
+}
+
+// TestV1IsAMiss: the legacy v1 codec is gone, so a checksum-valid v1
+// record is a version-skew miss — Decode refuses it, a Store unlinks
+// the file and the caller's recapture overwrites it as v2.
+func TestV1IsAMiss(t *testing.T) {
+	want := sampleRecord(64, 5)
+	blob := v1Blob(want)
+	if len(blob) != v1Size(want) {
+		t.Fatalf("v1Size %d disagrees with the v1 layout's %d bytes", v1Size(want), len(blob))
+	}
+	if _, ok := Decode(blob); ok {
+		t.Fatal("Decode accepted a v1 record")
+	}
 
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := []byte("old key")
-	if err := os.WriteFile(s.path(key), EncodeV1(want), 0o644); err != nil {
+	if err := os.WriteFile(s.path(key), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, ok = s.Get(key)
-	if !ok {
-		t.Fatal("v1 file on disk read as a miss")
+	if _, ok := s.Get(key); ok {
+		t.Fatal("v1 file on disk served as a hit")
 	}
-	recordsIdentical(t, "v1-store", got, want)
-	// Overwriting rewrites as v2; the record is unchanged.
+	if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
+		t.Fatalf("v1 file not unlinked after the miss: %v", err)
+	}
 	if err := s.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := os.ReadFile(s.path(key))
-	if err != nil {
-		t.Fatal(err)
+	got, ok := s.Get(key)
+	if !ok {
+		t.Fatal("miss after the v2 rewrite")
 	}
-	if !bytes.HasPrefix(blob, []byte(magic2)) {
-		t.Fatal("Put left a v1 record on disk")
-	}
+	recordsIdentical(t, "rewritten", got, want)
 }
 
 // TestV2CorruptionIsAMiss hammers a v2 blob: every bit flip and every
@@ -192,12 +224,22 @@ func TestRawBlobAPI(t *testing.T) {
 	}
 	recordsIdentical(t, "raw", got, rec)
 
-	// v1 blobs serve over the raw path too.
-	if err := s2.PutRaw(addr, EncodeV1(rec)); err != nil {
+	// v1 blobs are refused on the way in and missed on the way out: a
+	// v1 file left on disk is unlinked, not served.
+	if err := s2.PutRaw(addr, v1Blob(rec)); err == nil {
+		t.Error("PutRaw accepted a v1 blob")
+	}
+	if err := os.WriteFile(s2.addrPath(addr), v1Blob(rec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := s2.GetRaw(addr); !ok {
-		t.Fatal("v1 blob not served via GetRaw")
+	if _, ok := s2.GetRaw(addr); ok {
+		t.Error("v1 file served via GetRaw")
+	}
+	if _, err := os.Stat(s2.addrPath(addr)); !os.IsNotExist(err) {
+		t.Errorf("v1 file not unlinked after the GetRaw miss: %v", err)
+	}
+	if err := s2.PutRaw(addr, blob); err != nil {
+		t.Fatal(err)
 	}
 
 	// Hostile inputs: bad addresses and undecodable blobs are rejected
@@ -275,7 +317,7 @@ func TestV2CompressionOnPeriodicTrace(t *testing.T) {
 		rec.Issues[i] = uint64(0b1011 << (i % 3))
 	}
 	v2 := len(Encode(rec))
-	v1 := EncodedSizeV1(rec)
+	v1 := v1Size(rec)
 	if ratio := float64(v1) / float64(v2); ratio < 4 {
 		t.Errorf("v2 compression ratio %.2f× on periodic trace (v1=%dB v2=%dB), want ≥4×",
 			ratio, v1, v2)
@@ -303,5 +345,5 @@ func BenchmarkTraceEncodeV2(b *testing.B) {
 			b.Fatal("round trip failed")
 		}
 	}
-	b.ReportMetric(float64(EncodedSizeV1(rec))/float64(len(blob)), "ratio")
+	b.ReportMetric(float64(v1Size(rec))/float64(len(blob)), "ratio")
 }

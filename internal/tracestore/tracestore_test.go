@@ -112,13 +112,13 @@ func TestCorruptionIsAMiss(t *testing.T) {
 	restore := func() { os.WriteFile(p, pristine, 0o644) }
 
 	mutations := map[string]func([]byte) []byte{
-		"bit-flip-header":  func(b []byte) []byte { b[len(magic)+3] ^= 0x40; return b },
+		"bit-flip-header":  func(b []byte) []byte { b[len(magic2)+3] ^= 0x40; return b },
 		"bit-flip-payload": func(b []byte) []byte { b[len(b)/2] ^= 1; return b },
 		"bit-flip-cksum":   func(b []byte) []byte { b[len(b)-1] ^= 1; return b },
 		"truncated":        func(b []byte) []byte { return b[:len(b)/2] },
 		"empty":            func(b []byte) []byte { return nil },
 		"wrong-magic":      func(b []byte) []byte { copy(b, "BADMAGIC"); return b },
-		"future-version":   func(b []byte) []byte { b[len(magic)-2] = '9'; return b },
+		"future-version":   func(b []byte) []byte { b[len(magic2)-2] = '9'; return b },
 	}
 	for name, mutate := range mutations {
 		restore()
@@ -307,9 +307,10 @@ func TestEvictTolerantOfConcurrentUnlink(t *testing.T) {
 // ENOENT tolerance: two byte-starved stores on one directory, both
 // evicting under each other's feet while Gets race the unlinks. Every
 // failure mode must surface as a miss, never an error or a panic. The
-// directory starts mixed-version — half the keys pre-seeded as legacy
-// v1 files — so eviction, budget accounting and the spare-file skip are
-// proven version-blind. Run under -race.
+// directory starts with half the keys pre-seeded as legacy v1 files,
+// which read as misses: they charge the budget and are evicted like
+// any record until a Get unlinks them or a Put overwrites them. Run
+// under -race.
 func TestTwoStoresRacingOnOneDir(t *testing.T) {
 	dir := t.TempDir()
 	one := sampleRecord(64, 1)
@@ -326,7 +327,7 @@ func TestTwoStoresRacingOnOneDir(t *testing.T) {
 	const keys = 12
 	for n := 0; n < keys; n += 2 {
 		k := []byte(fmt.Sprintf("key-%d", n))
-		blob := EncodeV1(sampleRecord(64, uint64(n)))
+		blob := v1Blob(sampleRecord(64, uint64(n)))
 		if err := os.WriteFile(s1.path(k), blob, 0o644); err != nil {
 			t.Fatal(err)
 		}

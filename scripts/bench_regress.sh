@@ -37,6 +37,7 @@ gated=(
   BenchmarkStepTrace
   BenchmarkStepTraceBatch
   BenchmarkStepTraceBatchROM
+  BenchmarkTraceCodec
   BenchmarkTraceEncodeV2
   BenchmarkTraceStoreWarmVsCold
   BenchmarkTraceTierWarmVsCold

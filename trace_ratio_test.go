@@ -15,6 +15,10 @@ import (
 // must be at least 4× smaller than the legacy v1 flat encoding they
 // replace. The ratio is measured on the actual store files a warm
 // distributed search would move over /v1/trace.
+// v1Size is the size of rec in the legacy flat v1 encoding: a 264-byte
+// frame plus 16 bytes (an energy float and an issue word) per cycle.
+func v1Size(rec *tracestore.Record) int { return 264 + 16*len(rec.Energy) }
+
 func TestTraceCompressionOnCorpus(t *testing.T) {
 	db, err := corpus.Open(seedCorpusDir)
 	if err != nil {
@@ -76,7 +80,7 @@ func TestTraceCompressionOnCorpus(t *testing.T) {
 			t.Fatalf("%s: stored record does not decode", filepath.Base(f))
 		}
 		v2Total += int64(len(blob))
-		v1Total += int64(tracestore.EncodedSizeV1(rec))
+		v1Total += int64(v1Size(rec))
 	}
 	ratio := float64(v1Total) / float64(v2Total)
 	t.Logf("corpus traces: %d records, v1 %d B → v2 %d B (%.1f×)",
