@@ -28,9 +28,8 @@
 //	            kernel (0 = off, exact replay only); a non-zero value
 //	            changes the platform digest
 //	-batch-lanes    replay lanes per batched generation: auto (default)
-//	                picks the width from the batch shape and a kernel
-//	                calibration; an integer fixes it; negative disables
-//	                batching
+//	                picks the width from the batch shape; an integer
+//	                fixes it; negative disables batching
 //	-trace-cache-mb trace cache budget in MiB (0 = default 128)
 //	-cpuprofile write a pprof CPU profile of the search to this file
 //	-pprof      serve net/http/pprof on this address (e.g. :6060)

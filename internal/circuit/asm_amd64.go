@@ -5,7 +5,7 @@ package circuit
 import "unsafe"
 
 // AVX2 assembly fast paths for the two replay hot kernels: the
-// register-blocked LU substitution lanes (solveBatch) and the ROM
+// exact step's sparse LU substitution (rowProg.subst) and the ROM
 // modal step (romStepKernel) in 4-lane groups. Both map lanes to SIMD
 // slots so each lane performs exactly the scalar kernel's
 // floating-point operation sequence — multiply then subtract as two
@@ -21,10 +21,7 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
 //go:noescape
-func fwdRowAVX2(row []float64, x []float64, i, L int)
-
-//go:noescape
-func backRowAVX2(row []float64, d float64, x []float64, i, base, L int)
+func substAVX2(idx []int, coef []float64, rows, nFwd int, y []float64, L int)
 
 //go:noescape
 func romStep4AVX2(a *romStep4Args)
@@ -49,27 +46,6 @@ func detectAVX2() bool {
 	}
 	_, b, _, _ := cpuidex(7, 0)
 	return b&(1<<5) != 0
-}
-
-// solveBatchAVX2 runs the substitution sweeps through the AVX2 row
-// kernels: per row, the shared coefficients broadcast across SIMD
-// slots holding adjacent lanes (contiguous in the lane-minor layout),
-// exactly the amortization the Go register blocks perform — but with
-// 4 lanes per arithmetic instruction. The lane remainder (L mod 4) is
-// handled inside the row kernels with VEX scalar ops in the same
-// operation order.
-func (f *luReal) solveBatchAVX2(b, x []float64, L int) {
-	n := f.n
-	lu := f.lu
-	for i := 0; i < n; i++ {
-		copy(x[i*L:i*L+L], b[f.perm[i]*L:f.perm[i]*L+L])
-	}
-	for i := 1; i < n; i++ {
-		fwdRowAVX2(lu[i*n:i*n+i], x, i, L)
-	}
-	for i := n - 1; i >= 0; i-- {
-		backRowAVX2(lu[i*n+i+1:i*n+n], lu[i*n+i], x, i, (i+1)*L, L)
-	}
 }
 
 // romStep4Args is the argument block for romStep4AVX2. Every field is

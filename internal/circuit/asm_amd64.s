@@ -28,210 +28,121 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fwdRowAVX2(row []float64, x []float64, i, L int)
+// func substAVX2(idx []int, coef []float64, rows, nFwd int, y []float64, L int)
 //
-// Forward-substitution row i over all L lanes of the lane-minor
-// solution array x: for each lane l,
+// The whole row program (see rowProg) over all L lanes of the
+// lane-minor array y, in place. Per row, o = idx[0] and the k
+// columns cols = idx[2:2+k] are already scaled by L; for each lane l,
 //
-//	x[i*L+l] -= Σ_j row[j] * x[j*L+l]   (j ascending)
+//	s = y[o+l] − Σ_e coef[e] * y[cols[e]+l]   (e ascending)
+//	y[o+l] = s            forward rows (the first nFwd)
+//	y[o+l] = s / diag     back rows, diag leading the row's coefs
 //
-// 8-lane blocks (two ymm accumulators), then a 4-lane block, then VEX
-// scalar remainder — the same tiling solveBatchGo uses.
-TEXT ·fwdRowAVX2(SB), NOSPLIT, $0-64
-	MOVQ  row_base+0(FP), SI
-	MOVQ  row_len+8(FP), R8
-	MOVQ  x_base+24(FP), DI
-	MOVQ  i+48(FP), R9
-	MOVQ  L+56(FP), R10
-
-	IMULQ R10, R9
-	LEAQ  (DI)(R9*8), DX  // DX = &x[i*L]
-	MOVQ  R10, R11
-	SHLQ  $3, R11         // R11 = L*8: SoA row stride in bytes
-
-	XORQ  R12, R12        // l = 0
-fwd8:
+// 8-lane blocks (two ymm accumulators), then a 4-lane block, then a
+// VEX scalar tail, so every width from 1 runs here.
+TEXT ·substAVX2(SB), NOSPLIT, $0-96
+	MOVQ  idx_base+0(FP), SI
+	MOVQ  coef_base+24(FP), BX
+	MOVQ  y_base+64(FP), DI
+	MOVQ  L+88(FP), R10
+	XORQ  R8, R8           // r: program row
+row:
+	CMPQ  R8, rows+48(FP)
+	JGE   done
+	MOVQ  (SI), DX
+	MOVQ  8(SI), CX        // k
+	LEAQ  16(SI), R9       // cols
+	LEAQ  (DI)(DX*8), DX   // DX = &y[o]
+	CMPQ  R8, nFwd+56(FP)
+	JLT   lanes
+	VBROADCASTSD (BX), Y5  // back row: diagonal
+	ADDQ  $8, BX
+lanes:
+	XORQ  R12, R12         // l
+blk8:
 	MOVQ  R10, AX
 	SUBQ  R12, AX
 	CMPQ  AX, $8
-	JLT   fwd4
-	LEAQ  (DX)(R12*8), R13
-	VMOVUPD (R13), Y0
-	VMOVUPD 32(R13), Y1
-	LEAQ  (DI)(R12*8), AX // column pointer: &x[0*L+l]
-	MOVQ  SI, BX
-	MOVQ  R8, CX
+	JLT   blk4
+	VMOVUPD (DX)(R12*8), Y0
+	VMOVUPD 32(DX)(R12*8), Y1
+	LEAQ  (DI)(R12*8), R11 // &y[l]
+	XORQ  AX, AX
 	TESTQ CX, CX
-	JE    fwd8store
-fwd8j:
-	VBROADCASTSD (BX), Y2
-	VMULPD (AX), Y2, Y3
-	VMULPD 32(AX), Y2, Y4
+	JE    blk8end
+blk8e:
+	MOVQ  (R9)(AX*8), R13
+	VBROADCASTSD (BX)(AX*8), Y2
+	VMULPD (R11)(R13*8), Y2, Y3
+	VMULPD 32(R11)(R13*8), Y2, Y4
 	VSUBPD Y3, Y0, Y0
 	VSUBPD Y4, Y1, Y1
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   fwd8j
-fwd8store:
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, 32(R13)
-	ADDQ  $8, R12
-	JMP   fwd8
-fwd4:
-	MOVQ  R10, AX
-	SUBQ  R12, AX
-	CMPQ  AX, $4
-	JLT   fwd1
-	LEAQ  (DX)(R12*8), R13
-	VMOVUPD (R13), Y0
-	LEAQ  (DI)(R12*8), AX
-	MOVQ  SI, BX
-	MOVQ  R8, CX
-	TESTQ CX, CX
-	JE    fwd4store
-fwd4j:
-	VBROADCASTSD (BX), Y2
-	VMULPD (AX), Y2, Y3
-	VSUBPD Y3, Y0, Y0
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   fwd4j
-fwd4store:
-	VMOVUPD Y0, (R13)
-	ADDQ  $4, R12
-	JMP   fwd4
-fwd1:
-	CMPQ  R12, R10
-	JGE   fwddone
-	LEAQ  (DX)(R12*8), R13
-	VMOVSD (R13), X0
-	LEAQ  (DI)(R12*8), AX
-	MOVQ  SI, BX
-	MOVQ  R8, CX
-	TESTQ CX, CX
-	JE    fwd1store
-fwd1j:
-	VMOVSD (BX), X2
-	VMULSD (AX), X2, X3
-	VSUBSD X3, X0, X0
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   fwd1j
-fwd1store:
-	VMOVSD X0, (R13)
-	INCQ  R12
-	JMP   fwd1
-fwddone:
-	VZEROUPPER
-	RET
-
-// func backRowAVX2(row []float64, d float64, x []float64, i, base, L int)
-//
-// Back-substitution row i over all L lanes: for each lane l,
-//
-//	s = x[i*L+l] − Σ_j row[j] * x[base + j*L + l]   (j ascending)
-//	x[i*L+l] = s / d
-//
-// The division is per-slot VDIVPD/VDIVSD, matching the scalar
-// kernel's one final divide.
-TEXT ·backRowAVX2(SB), NOSPLIT, $0-80
-	MOVQ  row_base+0(FP), SI
-	MOVQ  row_len+8(FP), R8
-	VBROADCASTSD d+24(FP), Y5
-	MOVQ  x_base+32(FP), DI
-	MOVQ  i+56(FP), R9
-	MOVQ  base+64(FP), BX
-	MOVQ  L+72(FP), R10
-
-	IMULQ R10, R9
-	LEAQ  (DI)(R9*8), DX  // DX = &x[i*L]
-	LEAQ  (DI)(BX*8), R9  // R9 = &x[base]
-	MOVQ  R10, R11
-	SHLQ  $3, R11
-
-	XORQ  R12, R12
-back8:
-	MOVQ  R10, AX
-	SUBQ  R12, AX
-	CMPQ  AX, $8
-	JLT   back4
-	LEAQ  (DX)(R12*8), R13
-	VMOVUPD (R13), Y0
-	VMOVUPD 32(R13), Y1
-	LEAQ  (R9)(R12*8), AX
-	MOVQ  SI, BX
-	MOVQ  R8, CX
-	TESTQ CX, CX
-	JE    back8div
-back8j:
-	VBROADCASTSD (BX), Y2
-	VMULPD (AX), Y2, Y3
-	VMULPD 32(AX), Y2, Y4
-	VSUBPD Y3, Y0, Y0
-	VSUBPD Y4, Y1, Y1
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   back8j
-back8div:
+	INCQ  AX
+	CMPQ  AX, CX
+	JNE   blk8e
+blk8end:
+	CMPQ  R8, nFwd+56(FP)
+	JLT   blk8st
 	VDIVPD Y5, Y0, Y0
 	VDIVPD Y5, Y1, Y1
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, 32(R13)
+blk8st:
+	VMOVUPD Y0, (DX)(R12*8)
+	VMOVUPD Y1, 32(DX)(R12*8)
 	ADDQ  $8, R12
-	JMP   back8
-back4:
-	MOVQ  R10, AX
-	SUBQ  R12, AX
+	JMP   blk8
+blk4:
 	CMPQ  AX, $4
-	JLT   back1
-	LEAQ  (DX)(R12*8), R13
-	VMOVUPD (R13), Y0
-	LEAQ  (R9)(R12*8), AX
-	MOVQ  SI, BX
-	MOVQ  R8, CX
+	JLT   blk1
+	VMOVUPD (DX)(R12*8), Y0
+	LEAQ  (DI)(R12*8), R11
+	XORQ  AX, AX
 	TESTQ CX, CX
-	JE    back4div
-back4j:
-	VBROADCASTSD (BX), Y2
-	VMULPD (AX), Y2, Y3
+	JE    blk4end
+blk4e:
+	MOVQ  (R9)(AX*8), R13
+	VBROADCASTSD (BX)(AX*8), Y2
+	VMULPD (R11)(R13*8), Y2, Y3
 	VSUBPD Y3, Y0, Y0
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   back4j
-back4div:
+	INCQ  AX
+	CMPQ  AX, CX
+	JNE   blk4e
+blk4end:
+	CMPQ  R8, nFwd+56(FP)
+	JLT   blk4st
 	VDIVPD Y5, Y0, Y0
-	VMOVUPD Y0, (R13)
+blk4st:
+	VMOVUPD Y0, (DX)(R12*8)
 	ADDQ  $4, R12
-	JMP   back4
-back1:
+blk1:
 	CMPQ  R12, R10
-	JGE   backdone
-	LEAQ  (DX)(R12*8), R13
-	VMOVSD (R13), X0
-	LEAQ  (R9)(R12*8), AX
-	MOVQ  SI, BX
-	MOVQ  R8, CX
+	JGE   rownext
+	VMOVSD (DX)(R12*8), X0
+	LEAQ  (DI)(R12*8), R11
+	XORQ  AX, AX
 	TESTQ CX, CX
-	JE    back1div
-back1j:
-	VMOVSD (BX), X2
-	VMULSD (AX), X2, X3
+	JE    blk1end
+blk1e:
+	MOVQ  (R9)(AX*8), R13
+	VMOVSD (BX)(AX*8), X2
+	VMULSD (R11)(R13*8), X2, X3
 	VSUBSD X3, X0, X0
-	ADDQ  $8, BX
-	ADDQ  R11, AX
-	DECQ  CX
-	JNE   back1j
-back1div:
+	INCQ  AX
+	CMPQ  AX, CX
+	JNE   blk1e
+blk1end:
+	CMPQ  R8, nFwd+56(FP)
+	JLT   blk1st
 	VDIVSD X5, X0, X0
-	VMOVSD X0, (R13)
+blk1st:
+	VMOVSD X0, (DX)(R12*8)
 	INCQ  R12
-	JMP   back1
-backdone:
+	JMP   blk1
+rownext:
+	LEAQ  (R9)(CX*8), SI   // next row's idx
+	LEAQ  (BX)(CX*8), BX   // next row's coefs
+	INCQ  R8
+	JMP   row
+done:
 	VZEROUPPER
 	RET
 

@@ -9,7 +9,7 @@ package circuit
 
 const haveAVX2 = false
 
-func (f *luReal) solveBatchAVX2(b, x []float64, L int) {
+func substAVX2(idx []int, coef []float64, rows, nFwd int, y []float64, L int) {
 	panic("circuit: AVX2 kernels unavailable in this build")
 }
 

@@ -2,15 +2,17 @@ package circuit
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// These suites pin the asm/Go kernel equivalence contract: whatever
-// kernel solveBatch and ROMBatch.StepTraceBatch dispatch to on this
-// build (AVX2 assembly on amd64, pure Go under `noasm` or elsewhere)
-// must be bit-identical to the pure-Go reference at every batch
-// width. CI runs them both with and without the noasm tag.
+// These suites pin the kernel equivalence contracts. The exact step's
+// row program (rowProg), in Go and in AVX2 assembly, must equal the
+// dense serial solve lane by lane at every width, up to the sign of
+// exact zeros; the ROM step's dispatch (AVX2 on amd64, pure Go under
+// `noasm` or elsewhere) must be bit-identical to the pure-Go
+// reference. CI runs them both with and without the noasm tag.
 
 // testLU factors a random diagonally dominant n×n system.
 func testLU(t testing.TB, n int, seed int64) *luReal {
@@ -27,7 +29,136 @@ func testLU(t testing.TB, n int, seed int64) *luReal {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lu.prog = lu.program()
 	return lu
+}
+
+// sparsify zeroes about frac of f's off-diagonal entries after
+// factoring, a tenth of them as −0, and rebuilds its row program.
+func sparsify(f *luReal, frac float64, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := f.n
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && rng.Float64() < frac {
+				f.lu[i*n+j] = 0
+				if rng.Intn(10) == 0 {
+					f.lu[i*n+j] = math.Copysign(0, -1)
+				}
+			}
+		}
+	}
+	f.prog = f.program()
+}
+
+// substKernels lists the row-program kernels this build can run.
+func substKernels() []string {
+	if haveAVX2 {
+		return []string{"go", "asm"}
+	}
+	return []string{"go"}
+}
+
+// runSubst runs f's row program through the named kernel on y, which
+// holds Pb for L lanes and receives x.
+func runSubst(kernel string, f *luReal, idx []int, y []float64, L int) {
+	p := &f.prog
+	if kernel == "asm" {
+		substAVX2(idx, p.coef, p.nFwd+p.nBack, p.nFwd, y, L)
+		return
+	}
+	substGo(idx, p.coef, p.nFwd+p.nBack, p.nFwd, y, L)
+}
+
+// permuted returns Pb for L lanes of b held lane-minor.
+func permuted(f *luReal, b []float64, L int) []float64 {
+	y := make([]float64, len(b))
+	for i, r := range f.perm {
+		copy(y[i*L:i*L+L], b[r*L:r*L+L])
+	}
+	return y
+}
+
+// checkRowProgram is the row program's oracle: at every width 1–33,
+// through every kernel of this build, each lane must match the dense
+// serial solve of that lane — bit for bit where the solve's result is
+// nonzero, and == (either sign) where it is zero. Right-hand sides
+// mix both signs of zero into random values, and lane 0 is all zeros.
+func checkRowProgram(t *testing.T, f *luReal, seed int64) {
+	t.Helper()
+	n := f.n
+	rng := rand.New(rand.NewSource(seed))
+	negZero := math.Copysign(0, -1)
+	bl := make([]float64, n)
+	xl := make([]float64, n)
+	for L := 1; L <= 33; L++ {
+		b := make([]float64, n*L)
+		for i := range b {
+			switch {
+			case i%L == 0 || rng.Intn(8) == 0:
+				b[i] = [2]float64{0, negZero}[rng.Intn(2)]
+			default:
+				b[i] = rng.NormFloat64()
+			}
+		}
+		want := make([]float64, n*L)
+		for l := 0; l < L; l++ {
+			gather(bl, b, L, l)
+			f.solve(bl, xl)
+			scatter(want, xl, L, l)
+		}
+		idx := f.prog.scaled(nil, L)
+		for _, k := range substKernels() {
+			y := permuted(f, b, L)
+			runSubst(k, f, idx, y, L)
+			for i := 0; i < n; i++ {
+				for l := 0; l < L; l++ {
+					g, w := y[i*L+l], want[i*L+l]
+					if g != w || (w != 0 && math.Float64bits(g) != math.Float64bits(w)) {
+						t.Fatalf("n=%d %s L=%d lane %d row %d: program %v (%#x), dense solve %v (%#x)",
+							n, k, L, l, i, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// factorTerms counts f's nonzero off-diagonal entries and all of its
+// off-diagonal entries, and checks that the row program holds exactly
+// the nonzero ones.
+func factorTerms(t *testing.T, f *luReal) (nnz, offDiag int) {
+	t.Helper()
+	n := f.n
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && f.lu[i*n+j] != 0 {
+				nnz++
+			}
+		}
+	}
+	if terms := len(f.prog.coef) - f.prog.nBack; terms != nnz {
+		t.Errorf("row program holds %d terms, factor has %d nonzero off-diagonal entries", terms, nnz)
+	}
+	return nnz, n*n - n
+}
+
+func TestSolveBatchDispatchBitIdentical(t *testing.T) {
+	t.Logf("haveAVX2 = %v", haveAVX2)
+	for _, n := range []int{1, 3, 15, 24} {
+		f := testLU(t, n, int64(100+n))
+		if nnz, off := factorTerms(t, f); nnz != off {
+			t.Fatalf("n=%d: random factor has %d of %d off-diagonal entries nonzero", n, nnz, off)
+		}
+		checkRowProgram(t, f, int64(n))
+	}
+	for _, n := range []int{15, 24} {
+		f := testLU(t, n, int64(200+n))
+		sparsify(f, 0.7, int64(n))
+		nnz, off := factorTerms(t, f)
+		t.Logf("n=%d sparsified: %d of %d off-diagonal entries nonzero", n, nnz, off)
+		checkRowProgram(t, f, int64(300+n))
+	}
 }
 
 // romStepBatchGo is the pure-Go lane-major batch loop — the reference
@@ -39,42 +170,6 @@ func romStepBatchGo(rb *ROMBatch, dst, src [][]float64, mul, div []float64, n in
 		gather(muLane, rb.mu, L, l)
 		romStepKernel(rb.rom, muLane, rb.vstar[l], dst[l][:n], src[l], mul[l], div[l], n)
 		scatter(rb.mu, muLane, L, l)
-	}
-}
-
-func TestSolveBatchDispatchBitIdentical(t *testing.T) {
-	t.Logf("haveAVX2 = %v", haveAVX2)
-	for _, n := range []int{1, 3, 15, 24} {
-		lu := testLU(t, n, int64(100+n))
-		rng := rand.New(rand.NewSource(int64(n)))
-		for _, L := range []int{1, 2, 4, 8, 16, 32, 7, 13} {
-			b := make([]float64, n*L)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			got := make([]float64, n*L)
-			want := make([]float64, n*L)
-			lu.solveBatch(b, got, L)
-			lu.solveBatchGo(b, want, L)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d L=%d: dispatch[%d] = %v, pure Go %v", n, L, i, got[i], want[i])
-				}
-			}
-			// And per lane against the serial solver — the original
-			// bit-identity oracle.
-			bl := make([]float64, n)
-			xl := make([]float64, n)
-			for l := 0; l < L; l++ {
-				gather(bl, b, L, l)
-				lu.solve(bl, xl)
-				for i := 0; i < n; i++ {
-					if got[i*L+l] != xl[i] {
-						t.Fatalf("n=%d L=%d lane %d row %d: batch %v != serial %v", n, L, l, i, got[i*L+l], xl[i])
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -125,32 +220,43 @@ func TestROMStepBatchDispatchBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkSolveBatchKernel compares the pure-Go register-blocked
-// substitution against the AVX2 row kernels at replay-realistic sizes
-// (n=15 is the shipped PDN's MNA dimension).
-func BenchmarkSolveBatchKernel(b *testing.B) {
-	const n = 15
-	lu := testLU(b, n, 42)
-	for _, L := range []int{8, 32} {
-		rhs := make([]float64, n*L)
-		x := make([]float64, n*L)
-		rng := rand.New(rand.NewSource(9))
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
-		}
-		b.Run(fmt.Sprintf("go/Lanes%d", L), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lu.solveBatchGo(rhs, x, L)
-			}
-		})
-		b.Run(fmt.Sprintf("asm/Lanes%d", L), func(b *testing.B) {
-			if !haveAVX2 {
+// benchSolveBatchKernel is BenchmarkSolveBatchKernel (which lives in
+// pdnfactor_test.go to reach the shipped factor). go/ and asm/ rows
+// run one solve through each kernel on a random dense 15×15 factor —
+// the row program's worst case, with no zero to skip at the shipped
+// PDN's MNA dimension; pdn/ rows run this build's dispatch on the
+// shipped Bulldozer factor. Each op restores the right-hand side
+// first, since the solve is in place.
+func benchSolveBatchKernel(b *testing.B, bulldozer *luReal) {
+	dense := testLU(b, 15, 42)
+	run := func(name, kernel string, f *luReal, L int) {
+		b.Run(name, func(b *testing.B) {
+			if kernel == "asm" && !haveAVX2 {
 				b.Skip("AVX2 kernels unavailable in this build")
 			}
+			rhs := make([]float64, f.n*L)
+			rng := rand.New(rand.NewSource(9))
+			for i := range rhs {
+				rhs[i] = rng.NormFloat64()
+			}
+			y := make([]float64, len(rhs))
+			idx := f.prog.scaled(nil, L)
 			for i := 0; i < b.N; i++ {
-				lu.solveBatchAVX2(rhs, x, L)
+				copy(y, rhs)
+				if kernel == "" {
+					f.prog.subst(idx, y, L)
+				} else {
+					runSubst(kernel, f, idx, y, L)
+				}
 			}
 		})
+	}
+	for _, L := range []int{8, 32} {
+		run(fmt.Sprintf("go/Lanes%d", L), "go", dense, L)
+		run(fmt.Sprintf("asm/Lanes%d", L), "asm", dense, L)
+	}
+	for _, L := range []int{1, 8, 32} {
+		run(fmt.Sprintf("pdn/Lanes%d", L), "", bulldozer, L)
 	}
 }
 

@@ -10,23 +10,18 @@ package circuit
 // and the lanes' independent dependency chains fill the latency
 // bubbles that dominate a small serial triangular solve.
 //
-// Per lane, StepTraceBatch performs exactly the same floating-point
-// operations in the same order as Transient.StepTrace would on that
-// lane alone (the lane loop is always innermost, over shared
-// coefficients), so every lane's trajectory is bit-identical to a
-// serial replay regardless of batch width or composition.
+// Transient.StepTrace is the one-lane call of the same step kernel
+// (stepTrace), whose lane loops are always innermost over shared
+// coefficients: per lane it performs the same floating-point
+// operations in the same order at every batch width, so each lane's
+// trajectory is bit-identical to a serial replay regardless of batch
+// width or composition.
 type TransientBatch struct {
-	cp    *Compiled
-	lanes int
-
-	// SoA state, lane-minor: [i*lanes + l].
-	rhs     []float64
-	x       []float64
-	sources []float64
-	capV    []float64
-	capI    []float64
-	indI    []float64
-	time    []float64 // per lane
+	cp        *Compiled
+	lanes     int
+	stepState           // SoA, lane-minor: [i*lanes + l]
+	time      []float64 // per lane
+	idx       []int     // the factor's row program scaled by lanes
 }
 
 // NewBatch returns a batch of `lanes` states, each at the compiled DC
@@ -36,17 +31,12 @@ func (cp *Compiled) NewBatch(lanes int) *TransientBatch {
 	if lanes < 1 {
 		panic("circuit: batch needs at least one lane")
 	}
-	ne := len(cp.sources0)
 	tb := &TransientBatch{
-		cp:      cp,
-		lanes:   lanes,
-		rhs:     make([]float64, cp.n*lanes),
-		x:       make([]float64, cp.n*lanes),
-		sources: make([]float64, ne*lanes),
-		capV:    make([]float64, ne*lanes),
-		capI:    make([]float64, ne*lanes),
-		indI:    make([]float64, ne*lanes),
-		time:    make([]float64, lanes),
+		cp:        cp,
+		lanes:     lanes,
+		stepState: newStepState(cp, lanes),
+		time:      make([]float64, lanes),
+		idx:       cp.lu.prog.scaled(nil, lanes),
 	}
 	for l := 0; l < lanes; l++ {
 		scatter(tb.x, cp.x0, lanes, l)
@@ -177,6 +167,7 @@ func (tb *TransientBatch) DropLane(l int) {
 	tb.time[l] = tb.time[L-1]
 	tb.time = tb.time[:L-1]
 	tb.lanes = L - 1
+	tb.idx = tb.cp.lu.prog.scaled(tb.idx, L-1)
 }
 
 // dropCol removes column l from a row-major [rows × L] array in place:
@@ -197,12 +188,10 @@ func dropCol(a []float64, L, l int) []float64 {
 
 // StepTraceBatch advances every lane n steps in one kernel pass: at
 // step s, lane l drives source ref with src[l][s]*mul[l]/div[l] +
-// add[l] and records node nd's voltage into dst[l][s]. The per-lane
-// arithmetic replicates Transient.StepTrace exactly (same addends,
-// same order, shared precomputed constants), so each lane's output and
-// end state are bit-identical to a serial StepTrace of that lane.
+// add[l] and records node nd's voltage into dst[l][s]. Each lane's
+// output and end state are bit-identical to a serial StepTrace of that
+// lane.
 func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64, mul, div, add []float64, n int) {
-	cp := tb.cp
 	L := tb.lanes
 	if L == 0 || n == 0 {
 		return
@@ -215,10 +204,20 @@ func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64,
 			panic("circuit: StepTraceBatch lane buffer shorter than n")
 		}
 	}
+	tb.cp.stepTrace(&tb.stepState, L, tb.idx, tb.time, nd, ref, dst, src, mul, div, add, n)
+}
+
+// stepTrace is the replay step kernel: it advances the L lanes of st n
+// steps, lane l driving source ref with src[l][s]*mul[l]/div[l] +
+// add[l] and recording node nd's voltage into dst[l][s]. idx is the
+// factor's row program scaled by L. The right-hand side is stamped
+// straight into the factor's permuted row order and solved in place,
+// and the solved buffer then becomes x, so a step copies nothing.
+func (cp *Compiled) stepTrace(st *stepState, L int, idx []int, time []float64, nd Node, ref int, dst, src [][]float64, mul, div, add []float64, n int) {
 	ops, capOps, indOps := cp.stepOps, cp.capOps, cp.indOps
-	b, x := tb.rhs, tb.x
-	capV, capI, indI, sources := tb.capV, tb.capI, tb.indI, tb.sources
-	lu := cp.lu
+	b, x := st.rhs, st.x
+	capV, capI, indI, sources := st.capV, st.capI, st.indI, st.sources
+	prog := &cp.lu.prog
 	h := cp.h
 	di := int(nd) - 1
 	for s := 0; s < n; s++ {
@@ -236,16 +235,16 @@ func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64,
 				ci := capI[op.ei*L : op.ei*L+L]
 				for l := 0; l < L; l++ {
 					ieq := op.g*cv[l] + ci[l]
-					if op.ia >= 0 {
-						b[op.ia*L+l] += ieq
+					if op.pa >= 0 {
+						b[op.pa*L+l] += ieq
 					}
-					if op.ib >= 0 {
-						b[op.ib*L+l] -= ieq
+					if op.pb >= 0 {
+						b[op.pb*L+l] -= ieq
 					}
 				}
 			case kindL:
 				ii := indI[op.ei*L : op.ei*L+L]
-				bb := b[op.br*L : op.br*L+L]
+				bb := b[op.pbr*L : op.pbr*L+L]
 				for l := 0; l < L; l++ {
 					var vp float64
 					if op.ia >= 0 {
@@ -257,23 +256,24 @@ func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64,
 					bb[l] = -op.g*ii[l] - vp
 				}
 			case kindV:
-				copy(b[op.br*L:op.br*L+L], sources[op.ei*L:op.ei*L+L])
+				copy(b[op.pbr*L:op.pbr*L+L], sources[op.ei*L:op.ei*L+L])
 			default: // kindI
 				sv := sources[op.ei*L : op.ei*L+L]
 				for l := 0; l < L; l++ {
 					v := sv[l]
-					if op.ia >= 0 {
-						b[op.ia*L+l] -= v
+					if op.pa >= 0 {
+						b[op.pa*L+l] -= v
 					}
-					if op.ib >= 0 {
-						b[op.ib*L+l] += v
+					if op.pb >= 0 {
+						b[op.pb*L+l] += v
 					}
 				}
 			}
 		}
-		lu.solveBatch(b, x, L)
+		prog.subst(idx, b, L)
+		b, x = x, b
 		for l := 0; l < L; l++ {
-			tb.time[l] += h
+			time[l] += h
 		}
 		for oi := range capOps {
 			op := &capOps[oi]
@@ -306,4 +306,5 @@ func (tb *TransientBatch) StepTraceBatch(nd Node, ref int, dst, src [][]float64,
 			}
 		}
 	}
+	st.rhs, st.x = b, x
 }

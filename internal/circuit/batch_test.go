@@ -23,12 +23,17 @@ func batchDrive(lanes, steps int) [][]float64 {
 	return src
 }
 
-// serialLaneRun replays one lane through the single-lane kernel from
-// the DC operating point, returning the voltage trace and end state.
+// serialLaneRun replays one lane through the per-cycle oracle loop
+// (SetSourceRef + Step + V) from the DC operating point, returning the
+// voltage trace and end state.
 func serialLaneRun(cp *Compiled, out Node, ref int, src []float64, mul, div, add float64) ([]float64, []float64) {
 	tr := cp.NewState()
 	dst := make([]float64, len(src))
-	tr.StepTrace(out, ref, dst, src, mul, div, add)
+	for s, v := range src {
+		tr.SetSourceRef(ref, v*mul/div+add)
+		tr.Step()
+		dst[s] = tr.V(out)
+	}
 	end := make([]float64, tr.StateDim())
 	tr.StateVec(end)
 	return dst, end
@@ -181,40 +186,44 @@ func TestSetLaneStateVecMatchesSetStateVec(t *testing.T) {
 	}
 }
 
-// BenchmarkSolveBatch pits L serial triangular solves against one
-// L-lane batched solve on a PDN-sized system.
-func BenchmarkSolveBatch(b *testing.B) {
-	c, _ := rlcLadder()
+// TestStepTraceAllocs is the replay kernel's allocation gate: after
+// construction, neither the one-lane StepTrace nor a batch's
+// StepTraceBatch may allocate. Allocation counts do not depend on the
+// machine, so this runs on every go test, like the capture gate.
+func TestStepTraceAllocs(t *testing.T) {
+	c, out := rlcLadder()
 	cp, err := Compile(c, 1e-10)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	lu := cp.lu
-	n := lu.n
-	for _, L := range []int{1, 2, 4, 8} {
-		rhs := make([]float64, n*L)
-		x := make([]float64, n*L)
-		for i := range rhs {
-			rhs[i] = float64(i%13) * 0.37
+	ref, err := cp.NewState().SourceRef("sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const steps = 256
+	tr := cp.NewState()
+	src := batchDrive(1, steps)[0]
+	dst := make([]float64, steps)
+	if n := testing.AllocsPerRun(20, func() {
+		tr.StepTrace(out, ref, dst, src, 1e-12, 1e-10, 0.2)
+	}); n != 0 {
+		t.Errorf("Transient.StepTrace allocates %v times per call, want 0", n)
+	}
+	for _, lanes := range []int{1, 5, 8, 32} {
+		tb := cp.NewBatch(lanes)
+		srcs := batchDrive(lanes, steps)
+		dsts := make([][]float64, lanes)
+		mul := make([]float64, lanes)
+		div := make([]float64, lanes)
+		add := make([]float64, lanes)
+		for l := range dsts {
+			dsts[l] = make([]float64, steps)
+			mul[l], div[l], add[l] = 1e-12, 1e-10, 0.2
 		}
-		b.Run(benchName("Lanes", L), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				lu.solveBatch(rhs, x, L)
-			}
-		})
-	}
-	single := make([]float64, n)
-	xs := make([]float64, n)
-	for i := range single {
-		single[i] = float64(i%13) * 0.37
-	}
-	b.Run("Serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			lu.solve(single, xs)
+		if n := testing.AllocsPerRun(20, func() {
+			tb.StepTraceBatch(out, ref, dsts, srcs, mul, div, add, steps)
+		}); n != 0 {
+			t.Errorf("lanes=%d: StepTraceBatch allocates %v times per call, want 0", lanes, n)
 		}
-	})
-}
-
-func benchName(prefix string, v int) string {
-	return prefix + string(rune('0'+v))
+	}
 }

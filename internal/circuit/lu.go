@@ -26,6 +26,7 @@ type luReal struct {
 	n    int
 	lu   []float64 // n×n, row-major, L (unit diagonal) and U packed
 	perm []int
+	prog rowProg // the replay kernels' program; built only by Compile
 }
 
 func factorReal(a []float64, n int) (*luReal, error) {
@@ -87,125 +88,170 @@ func (f *luReal) solve(b, x []float64) {
 	}
 }
 
-// solveBatch solves LUx = Pb for L right-hand sides held lane-minor
-// (b[i*L + l] is row i of lane l), writing x in the same layout. Per
-// lane the floating-point operation sequence is exactly solve's —
-// row-oriented substitution, j ascending, one final division — so
-// every lane's solution is bit-identical to a serial solve. Lanes are
-// tiled into register blocks of 8 and 4 whose accumulators live
-// across a row's whole coefficient sweep: each lu[i,j] is loaded once
-// per block instead of once per lane, and the block's independent
-// multiply-subtract chains keep the FP units busy where the serial
-// solve's single chain stalls on latency. That blocking — not thread
-// parallelism — is the multi-lane replay kernel's speedup.
+// rowProg is a factor's substitution as a sparse row program: the
+// forward rows that have any nonzero entry below the diagonal, in
+// ascending row order, then every row for back substitution, in
+// descending order. idx holds each row as (row, k, then its k nonzero
+// columns in ascending order); coef holds the row's k coefficients in
+// the same order, led by the diagonal for back rows.
 //
-// On amd64 with AVX2 (and without the `noasm` tag), the substitution
-// sweeps run through hand-written vector kernels (asm_amd64.s) that
-// keep this exact per-lane operation order — multiply then subtract as
-// two rounded ops, no FMA contraction — so the dispatch below never
-// changes a single output bit, only how many lanes each instruction
-// carries.
-func (f *luReal) solveBatch(b, x []float64, L int) {
-	if haveAVX2 && L >= 4 {
-		f.solveBatchAVX2(b, x, L)
-		return
-	}
-	f.solveBatchGo(b, x, L)
+// Running the program equals solve's dense sweep on every lane up to
+// the sign of an exact zero. solve's extra terms all have m == 0, so
+// for finite x they subtract m·x = ±0, and s − (±0) = s for every
+// nonzero s: every nonzero intermediate and result keeps its bits, and
+// only a zero can come out with the other sign (== still holds). The
+// skipped terms are most of the work: 146 of the 210 off-diagonal
+// entries of each shipped PDN's factor are exact zeros.
+type rowProg struct {
+	idx   []int
+	coef  []float64
+	nFwd  int
+	nBack int
 }
 
-// solveBatchGo is the pure-Go register-blocked kernel — the reference
-// the assembly path is verified bit-identical against, and the path
-// taken on non-amd64, noasm, pre-AVX2 hardware, and narrow batches.
-func (f *luReal) solveBatchGo(b, x []float64, L int) {
-	n := f.n
-	lu := f.lu
+// program builds f's row program.
+func (f *luReal) program() rowProg {
+	n, lu := f.n, f.lu
+	nnz := 0
 	for i := 0; i < n; i++ {
-		copy(x[i*L:i*L+L], b[f.perm[i]*L:f.perm[i]*L+L])
+		for j := 0; j < n; j++ {
+			if i != j && lu[i*n+j] != 0 {
+				nnz++
+			}
+		}
 	}
-	// Forward substitution (unit lower).
+	p := rowProg{idx: make([]int, 0, 4*n+nnz), coef: make([]float64, 0, n+nnz)}
+	add := func(i, lo, hi int) {
+		at := len(p.idx)
+		p.idx = append(p.idx, i, 0)
+		for j := lo; j < hi; j++ {
+			if m := lu[i*n+j]; m != 0 {
+				p.idx = append(p.idx, j)
+				p.coef = append(p.coef, m)
+			}
+		}
+		p.idx[at+1] = len(p.idx) - at - 2
+	}
 	for i := 1; i < n; i++ {
-		row := lu[i*n : i*n+i]
-		l := 0
-		for ; l+8 <= L; l += 8 {
-			o := i*L + l
-			s0, s1, s2, s3 := x[o], x[o+1], x[o+2], x[o+3]
-			s4, s5, s6, s7 := x[o+4], x[o+5], x[o+6], x[o+7]
-			for j, m := range row {
-				xq := x[j*L+l : j*L+l+8 : j*L+l+8]
-				s0 -= m * xq[0]
-				s1 -= m * xq[1]
-				s2 -= m * xq[2]
-				s3 -= m * xq[3]
-				s4 -= m * xq[4]
-				s5 -= m * xq[5]
-				s6 -= m * xq[6]
-				s7 -= m * xq[7]
-			}
-			x[o], x[o+1], x[o+2], x[o+3] = s0, s1, s2, s3
-			x[o+4], x[o+5], x[o+6], x[o+7] = s4, s5, s6, s7
+		at, ac := len(p.idx), len(p.coef)
+		add(i, 0, i)
+		if len(p.coef) == ac {
+			p.idx = p.idx[:at] // nothing to subtract: the row is x[i] as is
+			continue
 		}
-		for ; l+4 <= L; l += 4 {
-			o := i*L + l
-			s0, s1, s2, s3 := x[o], x[o+1], x[o+2], x[o+3]
-			for j, m := range row {
-				xq := x[j*L+l : j*L+l+4 : j*L+l+4]
-				s0 -= m * xq[0]
-				s1 -= m * xq[1]
-				s2 -= m * xq[2]
-				s3 -= m * xq[3]
-			}
-			x[o], x[o+1], x[o+2], x[o+3] = s0, s1, s2, s3
-		}
-		for ; l < L; l++ {
-			s := x[i*L+l]
-			for j, m := range row {
-				s -= m * x[j*L+l]
-			}
-			x[i*L+l] = s
-		}
+		p.nFwd++
 	}
-	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
-		row := lu[i*n+i+1 : i*n+n]
-		d := lu[i*n+i]
-		base := (i + 1) * L
+		p.coef = append(p.coef, lu[i*n+i])
+		add(i, i+1, n)
+		p.nBack++
+	}
+	return p
+}
+
+// scaled returns idx with every row and column index multiplied by L —
+// the lane-minor element offsets of an L-lane solve — in dst's storage
+// when it has room.
+func (p *rowProg) scaled(dst []int, L int) []int {
+	dst = append(dst[:0], p.idx...)
+	for at := 0; at < len(dst); {
+		k := dst[at+1]
+		dst[at] *= L
+		for e := at + 2; e < at+2+k; e++ {
+			dst[e] *= L
+		}
+		at += 2 + k
+	}
+	return dst
+}
+
+// subst solves LUx = Pb in place for L lanes held lane-minor
+// (y[i*L + l] is row i of lane l): y holds Pb on entry and x on
+// return. idx is p.idx scaled by L. Per lane it runs the program's
+// operations in solve's order — multiply then subtract as two rounded
+// operations, one final division per back row — so each lane is
+// solve's result up to the sign of zeros (see rowProg).
+//
+// On amd64 with AVX2 (and without the `noasm` tag) one assembly call
+// runs the whole program, 8 and then 4 lanes per instruction with a
+// scalar tail, in that same per-lane order, never fusing a
+// multiply-add; elsewhere substGo does.
+func (p *rowProg) subst(idx []int, y []float64, L int) {
+	if haveAVX2 {
+		substAVX2(idx, p.coef, p.nFwd+p.nBack, p.nFwd, y, L)
+		return
+	}
+	substGo(idx, p.coef, p.nFwd+p.nBack, p.nFwd, y, L)
+}
+
+// substGo is the pure-Go kernel: rows outermost, lanes in register
+// blocks of 8 and 4 and then one at a time, so each coefficient is
+// loaded once per block and the block's independent chains overlap.
+// The first nFwd of the rows rows are forward rows.
+func substGo(idx []int, coef []float64, rows, nFwd int, y []float64, L int) {
+	at, c := 0, 0
+	for r := 0; r < rows; r++ {
+		o, k := idx[at], idx[at+1]
+		cols := idx[at+2 : at+2+k]
+		at += 2 + k
+		back := r >= nFwd
+		d := 1.0
+		if back {
+			d = coef[c]
+			c++
+		}
+		ms := coef[c : c+k]
+		cols = cols[:len(ms)]
+		c += k
 		l := 0
 		for ; l+8 <= L; l += 8 {
-			o := i*L + l
-			s0, s1, s2, s3 := x[o], x[o+1], x[o+2], x[o+3]
-			s4, s5, s6, s7 := x[o+4], x[o+5], x[o+6], x[o+7]
-			for j, m := range row {
-				xq := x[base+j*L+l : base+j*L+l+8 : base+j*L+l+8]
-				s0 -= m * xq[0]
-				s1 -= m * xq[1]
-				s2 -= m * xq[2]
-				s3 -= m * xq[3]
-				s4 -= m * xq[4]
-				s5 -= m * xq[5]
-				s6 -= m * xq[6]
-				s7 -= m * xq[7]
+			yo := y[o+l : o+l+8 : o+l+8]
+			s0, s1, s2, s3 := yo[0], yo[1], yo[2], yo[3]
+			s4, s5, s6, s7 := yo[4], yo[5], yo[6], yo[7]
+			for e, m := range ms {
+				j := cols[e] + l
+				yq := y[j : j+8 : j+8]
+				s0 -= m * yq[0]
+				s1 -= m * yq[1]
+				s2 -= m * yq[2]
+				s3 -= m * yq[3]
+				s4 -= m * yq[4]
+				s5 -= m * yq[5]
+				s6 -= m * yq[6]
+				s7 -= m * yq[7]
 			}
-			x[o], x[o+1], x[o+2], x[o+3] = s0/d, s1/d, s2/d, s3/d
-			x[o+4], x[o+5], x[o+6], x[o+7] = s4/d, s5/d, s6/d, s7/d
+			if back {
+				s0, s1, s2, s3 = s0/d, s1/d, s2/d, s3/d
+				s4, s5, s6, s7 = s4/d, s5/d, s6/d, s7/d
+			}
+			yo[0], yo[1], yo[2], yo[3] = s0, s1, s2, s3
+			yo[4], yo[5], yo[6], yo[7] = s4, s5, s6, s7
 		}
 		for ; l+4 <= L; l += 4 {
-			o := i*L + l
-			s0, s1, s2, s3 := x[o], x[o+1], x[o+2], x[o+3]
-			for j, m := range row {
-				xq := x[base+j*L+l : base+j*L+l+4 : base+j*L+l+4]
-				s0 -= m * xq[0]
-				s1 -= m * xq[1]
-				s2 -= m * xq[2]
-				s3 -= m * xq[3]
+			yo := y[o+l : o+l+4 : o+l+4]
+			s0, s1, s2, s3 := yo[0], yo[1], yo[2], yo[3]
+			for e, m := range ms {
+				j := cols[e] + l
+				yq := y[j : j+4 : j+4]
+				s0 -= m * yq[0]
+				s1 -= m * yq[1]
+				s2 -= m * yq[2]
+				s3 -= m * yq[3]
 			}
-			x[o], x[o+1], x[o+2], x[o+3] = s0/d, s1/d, s2/d, s3/d
+			if back {
+				s0, s1, s2, s3 = s0/d, s1/d, s2/d, s3/d
+			}
+			yo[0], yo[1], yo[2], yo[3] = s0, s1, s2, s3
 		}
 		for ; l < L; l++ {
-			s := x[i*L+l]
-			for j, m := range row {
-				s -= m * x[base+j*L+l]
+			s := y[o+l]
+			for e, m := range ms {
+				s -= m * y[cols[e]+l]
 			}
-			x[i*L+l] = s / d
+			if back {
+				s /= d
+			}
+			y[o+l] = s
 		}
 	}
 }

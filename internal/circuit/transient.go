@@ -30,12 +30,12 @@ type Compiled struct {
 	indI0    []float64
 	sources0 []float64
 
-	// Precompiled records for the batched StepTrace kernel: the RHS
-	// assembly flattened into resolved indices and precomputed companion
-	// conductances (2C/h, 2L/h), in the exact element order Step uses,
-	// plus the companion-update passes in their own orders. Stamping the
-	// same additions in the same order with the same constants keeps
-	// StepTrace bit-identical to a Step loop.
+	// Precompiled records for the replay step kernel (stepTrace): the
+	// RHS assembly flattened into resolved indices and precomputed
+	// companion conductances (2C/h, 2L/h), in the exact element order
+	// Step uses, plus the companion-update passes in their own orders.
+	// Stamping the same additions in the same order with the same
+	// constants keeps StepTrace equal to a Step loop.
 	stepOps []stepOp // RHS assembly, element order (R elements skipped)
 	capOps  []stepOp // capacitor companion updates, capIdx order
 	indOps  []stepOp // inductor companion updates, element order
@@ -43,12 +43,15 @@ type Compiled struct {
 
 // stepOp is one flattened element record for the trace kernel. Node
 // indices are pre-shifted into unknown-vector indices (-1 = ground).
+// The kernel stamps the RHS straight into the factor's row order, so
+// stamp records also carry their writes' permuted slots.
 type stepOp struct {
-	kind   elemKind
-	ia, ib int
-	br     int     // branch unknown for L and V elements
-	ei     int     // element index into sources/capV/capI/indI
-	g      float64 // 2C/h (capacitors) or 2L/h (inductors)
+	kind        elemKind
+	ia, ib      int
+	br          int     // branch unknown for L and V elements
+	pa, pb, pbr int     // ia, ib, br as permuted RHS slots (-1 = ground)
+	ei          int     // element index into sources/capV/capI/indI
+	g           float64 // 2C/h (capacitors) or 2L/h (inductors)
 }
 
 // Transient is a live fixed-step trapezoidal transient simulation: the
@@ -59,7 +62,14 @@ type stepOp struct {
 // and may step concurrently.
 type Transient struct {
 	cp *Compiled
+	stepState
+	time float64
+}
 
+// stepState is the mutable part of a simulation, each slice held
+// lane-minor ([i*L + l] is element i of lane l). At one lane that is
+// the plain per-element layout, which is how a Transient holds it.
+type stepState struct {
 	rhs     []float64
 	x       []float64
 	sources []float64 // live source values, indexed by element
@@ -68,8 +78,19 @@ type Transient struct {
 	capV []float64 // previous branch voltage per capacitor element index
 	capI []float64 // previous branch current per capacitor
 	indI []float64 // previous current per inductor (indexed by element)
+}
 
-	time float64
+// newStepState allocates the state of `lanes` lanes over cp.
+func newStepState(cp *Compiled, lanes int) stepState {
+	ne := len(cp.sources0)
+	return stepState{
+		rhs:     make([]float64, cp.n*lanes),
+		x:       make([]float64, cp.n*lanes),
+		sources: make([]float64, ne*lanes),
+		capV:    make([]float64, ne*lanes),
+		capI:    make([]float64, ne*lanes),
+		indI:    make([]float64, ne*lanes),
+	}
 }
 
 // Compile assigns branch unknowns, solves the DC operating point of the
@@ -157,6 +178,7 @@ func Compile(c *Circuit, h float64) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("circuit: transient matrix: %w", err)
 	}
+	lu.prog = lu.program()
 	cp.lu = lu
 	cp.buildStepOps()
 	return cp, nil
@@ -166,8 +188,17 @@ func Compile(c *Circuit, h float64) (*Compiled, error) {
 // by StepTrace, preserving Step's iteration orders exactly.
 func (cp *Compiled) buildStepOps() {
 	c := cp.c
+	slot := func(i int) int { // unknown i's row in the permuted RHS
+		for k, r := range cp.lu.perm {
+			if r == i {
+				return k
+			}
+		}
+		return -1 // ground
+	}
 	rec := func(e *element, i int) stepOp {
 		op := stepOp{kind: e.kind, ia: int(e.a) - 1, ib: int(e.b) - 1, br: e.branch, ei: i}
+		op.pa, op.pb, op.pbr = slot(op.ia), slot(op.ib), slot(op.br)
 		switch e.kind {
 		case kindC, kindL:
 			op.g = 2 * e.val / cp.h
@@ -284,15 +315,7 @@ func (cp *Compiled) initDC() error {
 // operating point. This is the cheap per-run path: a handful of slice
 // allocations, no factorisation.
 func (cp *Compiled) NewState() *Transient {
-	t := &Transient{
-		cp:      cp,
-		rhs:     make([]float64, cp.n),
-		x:       make([]float64, cp.n),
-		sources: make([]float64, len(cp.sources0)),
-		capV:    make([]float64, len(cp.capV0)),
-		capI:    make([]float64, len(cp.capI0)),
-		indI:    make([]float64, len(cp.indI0)),
-	}
+	t := &Transient{cp: cp, stepState: newStepState(cp, 1)}
 	t.Reset()
 	return t
 }
@@ -441,90 +464,27 @@ func (t *Transient) V(nd Node) float64 { return t.nodeV(nd) }
 
 // StepTrace advances the simulation len(src) steps in one call: step s
 // drives source ref with src[s]*mul/div + add and records node nd's
-// voltage into dst[s]. It is the batched trace-replay kernel — no
-// per-step method dispatch, no allocation, indices and companion
-// conductances resolved at compile time, bounds checks hoisted by
-// slicing once up front. The arithmetic replicates SetSourceRef + Step
-// + V exactly (same addends, same order, same precomputed constants),
-// so a StepTrace run is bit-identical to the equivalent per-cycle loop.
+// voltage into dst[s]. It is the one-lane call of the replay step
+// kernel TransientBatch.StepTraceBatch runs (stepTrace): no per-step
+// method dispatch, no allocation, indices and companion conductances
+// resolved at compile time. The arithmetic replicates SetSourceRef +
+// Step + V (same addends, same order, same precomputed constants) and
+// skips only the factor's exact zeros, so every output and state value
+// equals the per-cycle loop's — bit for bit, up to the sign of an
+// exact zero (see rowProg).
 //
 // The (mul, div, add) form exists so the testbed can reproduce its
 // amps conversion energy*1e-12/(dt*supply) + leakage without a
 // per-cycle closure; pass (1, 1, 0) to feed src through unchanged.
 func (t *Transient) StepTrace(nd Node, ref int, dst, src []float64, mul, div, add float64) {
-	cp := t.cp
 	n := len(src)
 	if len(dst) < n {
 		panic("circuit: StepTrace dst shorter than src")
 	}
-	dst = dst[:n]
-	ops, capOps, indOps := cp.stepOps, cp.capOps, cp.indOps
-	b, x := t.rhs, t.x
-	capV, capI, indI, sources := t.capV, t.capI, t.indI, t.sources
-	lu := cp.lu
-	h := cp.h
-	di := int(nd) - 1
-	for s := 0; s < n; s++ {
-		sources[ref] = src[s]*mul/div + add
-		for i := range b {
-			b[i] = 0
-		}
-		for oi := range ops {
-			op := &ops[oi]
-			switch op.kind {
-			case kindC:
-				ieq := op.g*capV[op.ei] + capI[op.ei]
-				if op.ia >= 0 {
-					b[op.ia] += ieq
-				}
-				if op.ib >= 0 {
-					b[op.ib] -= ieq
-				}
-			case kindL:
-				var vp float64
-				if op.ia >= 0 {
-					vp = x[op.ia]
-				}
-				if op.ib >= 0 {
-					vp -= x[op.ib]
-				}
-				b[op.br] = -op.g*indI[op.ei] - vp
-			case kindV:
-				b[op.br] = sources[op.ei]
-			default: // kindI
-				v := sources[op.ei]
-				if op.ia >= 0 {
-					b[op.ia] -= v
-				}
-				if op.ib >= 0 {
-					b[op.ib] += v
-				}
-			}
-		}
-		lu.solve(b, x)
-		t.time += h
-		for oi := range capOps {
-			op := &capOps[oi]
-			var vNew float64
-			if op.ia >= 0 {
-				vNew = x[op.ia]
-			}
-			if op.ib >= 0 {
-				vNew -= x[op.ib]
-			}
-			iNew := op.g*(vNew-capV[op.ei]) - capI[op.ei]
-			capV[op.ei], capI[op.ei] = vNew, iNew
-		}
-		for oi := range indOps {
-			op := &indOps[oi]
-			indI[op.ei] = x[op.br]
-		}
-		if di >= 0 {
-			dst[s] = x[di]
-		} else {
-			dst[s] = 0
-		}
-	}
+	tm := [1]float64{t.time}
+	t.cp.stepTrace(&t.stepState, 1, t.cp.lu.prog.idx, tm[:], nd, ref,
+		[][]float64{dst}, [][]float64{src}, []float64{mul}, []float64{div}, []float64{add}, n)
+	t.time = tm[0]
 }
 
 // StateDim returns the length of the dynamic-state vector exchanged by

@@ -190,6 +190,10 @@ func (cp *Compiled) Config() Config { return cp.cfg }
 // Dt returns the compiled simulation step in seconds.
 func (cp *Compiled) Dt() float64 { return cp.dt }
 
+// Circuit returns the compiled circuit system the network's states
+// advance over.
+func (cp *Compiled) Circuit() *circuit.Compiled { return cp.ccp }
+
 // New returns a fresh simulation state at the network's DC operating
 // point, without touching the pool.
 func (cp *Compiled) New() *PDN {

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -30,15 +29,16 @@ import (
 // else literally calls the serial path.
 
 // DefaultBatchLanes is the fixed lane width callers may pass when they
-// want to bypass automatic selection. Eight lanes is where the blocked
-// multi-RHS solve saturates on the PDN-sized systems this repo ships —
-// but fixing the width can idle workers when a generation doesn't
-// split evenly (see autoLanes), which is why lanes <= 0 now selects
-// the width automatically instead of defaulting here.
+// want to bypass automatic selection. Eight lanes fill the exact
+// kernel's widest register block and get most of its per-lane gain on
+// the PDN-sized systems this repo ships — but fixing the width can
+// idle workers when a generation doesn't split evenly (see autoLanes),
+// which is why lanes <= 0 selects the width automatically instead of
+// defaulting here.
 const DefaultBatchLanes = 8
 
-// maxBatchLanes bounds the lane width; wider batches spill the solve's
-// register blocks without adding throughput.
+// maxBatchLanes bounds the lane width; the exact kernel's per-lane
+// cost is nearly flat from 16 lanes on.
 const maxBatchLanes = 32
 
 // BatchRunner is a Runner that can evaluate a whole generation at once.
@@ -254,7 +254,7 @@ func (cp *CompiledPlatform) MeasureBatchContext(ctx context.Context, rcs []RunCo
 		return len(laneJobs[a].tr.energy) > len(laneJobs[b].tr.energy)
 	})
 	if autoWidth {
-		lanes = cp.autoLanes(len(laneJobs), workers)
+		lanes = autoLanes(len(laneJobs), workers)
 	}
 	nGroups := (len(laneJobs) + lanes - 1) / lanes
 	tasks := nGroups + len(solo) + len(exact)
@@ -464,68 +464,15 @@ func (cp *CompiledPlatform) replayLanes(jobs []laneJob, ms []*Measurement, errs 
 }
 
 // autoLanes picks the multi-lane kernel width for a generation of
-// `jobs` lane-eligible replays over `workers` goroutines. The fixed
-// default width idles workers whenever the job count doesn't cover
-// workers × lanes (the BENCH_eval L8xW8 > L4xW8 regression: 32 jobs at
-// 8 lanes is only 4 batches over 8 workers), so the width starts from
-// the narrowest value that still gives every worker a batch,
-// ceil(jobs/workers), and is then clamped to the platform's measured
-// best kernel width once batches are deep enough for the clamp to
-// matter. The width only moves throughput, never results.
-func (cp *CompiledPlatform) autoLanes(jobs, workers int) int {
-	if jobs <= 1 {
-		return 1
-	}
-	L := (jobs + workers - 1) / workers
-	if L <= 1 {
-		return 1
-	}
-	if L > 4 {
-		if w := cp.kernelLanes(); L > w {
-			L = w
-		}
-	}
-	if L > maxBatchLanes {
-		L = maxBatchLanes
-	}
-	return L
-}
-
-// kernelLanes measures, once per platform, which lane width gives the
-// exact multi-lane kernel its best per-lane throughput on this
-// machine, over a short synthetic drive. The exact kernel is the one
-// calibrated — it dominates wherever the width choice matters, and the
-// reduced-order kernel's per-lane cost is width-flat so any clamp is
-// safe for it. The measurement is wall-clock derived but feeds only
-// the width choice, which never affects results.
-func (cp *CompiledPlatform) kernelLanes() int {
-	cp.laneOnce.Do(func() {
-		const steps = 1024
-		src := make([]float64, steps)
-		for i := range src {
-			src[i] = 20 + 10*math.Sin(2*math.Pi*float64(i)/36)
-		}
-		best, bestNS := DefaultBatchLanes, math.MaxFloat64
-		for _, w := range []int{4, 8, 16, 32} {
-			pb := cp.net.NewBatch(w)
-			dst := make([][]float64, w)
-			srcs := make([][]float64, w)
-			mul := make([]float64, w)
-			div := make([]float64, w)
-			add := make([]float64, w)
-			for l := 0; l < w; l++ {
-				dst[l] = make([]float64, steps)
-				srcs[l] = src
-				mul[l], div[l], add[l] = 1, 1, 0
-			}
-			start := time.Now()
-			pb.StepTraceBatch(dst, srcs, mul, div, add, steps)
-			perLane := float64(time.Since(start).Nanoseconds()) / float64(w)
-			if perLane < bestNS {
-				best, bestNS = w, perLane
-			}
-		}
-		cp.laneWidth = best
-	})
-	return cp.laneWidth
+// `jobs` lane-eligible replays over `workers` goroutines: the
+// narrowest width that still gives every worker a batch,
+// ceil(jobs/workers), capped at maxBatchLanes. A fixed width idles
+// workers whenever the job count doesn't cover workers × lanes (the
+// BENCH_eval L8xW8 > L4xW8 regression: 32 jobs at 8 lanes is only 4
+// batches over 8 workers). No further clamp is needed: the exact
+// kernel's per-lane cost falls with width all the way to 32 lanes,
+// and the reduced-order kernel's is width-flat. The width only moves
+// throughput, never results.
+func autoLanes(jobs, workers int) int {
+	return max(1, min((jobs+workers-1)/workers, maxBatchLanes))
 }

@@ -49,11 +49,6 @@ type CompiledPlatform struct {
 	store     *tracestore.Store
 	tier      TraceTier
 	storeSalt []byte
-
-	// laneOnce/laneWidth cache the measured best multi-lane kernel
-	// width for `-batch-lanes auto` (see kernelLanes in batch.go).
-	laneOnce  sync.Once
-	laneWidth int
 }
 
 // romOK reports whether the platform's declared voltage tolerance
