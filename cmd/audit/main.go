@@ -637,6 +637,10 @@ func printThroughput(evals int, elapsed time.Duration, hits, misses int, ts audi
 		fmt.Fprintf(os.Stderr, ", periodic %d (%d modal, %d probe lanes)",
 			ts.PeriodicReplays, ts.ModalPeriodic, ts.AffineProbeLanes)
 	}
+	if ts.Captures > 0 {
+		fmt.Fprintf(os.Stderr, ", schedule-locked %d/%d captures (%d cycles)",
+			ts.LockedCaptures, ts.Captures, ts.LockedCycles)
+	}
 	fmt.Fprintln(os.Stderr)
 }
 

@@ -45,6 +45,18 @@ type Chip struct {
 	partsScratch []*core
 
 	res CycleResult // scratch for the current cycle
+
+	// clockPJ is the per-cycle clock-tree energy of all modules.
+	clockPJ float64
+
+	// Schedule lock (lock.go). probing is set while a candidate period
+	// is being tested, recording while a proven period is recorded, and
+	// locked once it is: from then on Step replays the recorded
+	// schedule. lk keeps its buffers across Reset so a pooled chip's
+	// locked captures allocate nothing.
+	probing, recording, locked bool
+	lk                         *lockState
+	fpWords                    []uint64 // scratch for Fingerprints
 }
 
 // barrierState is one registered barrier id's waiting set.
@@ -129,6 +141,8 @@ type core struct {
 
 	retired   uint64
 	activeNow bool
+
+	lockIdx int32 // this core's lockState.cores index once a lock records
 }
 
 // NewChip builds a chip from a validated config and power model.
@@ -151,6 +165,7 @@ func NewChip(cfg uarch.ChipConfig, pm power.Model) (*Chip, error) {
 		barrierIdx:   map[int64]int32{},
 		partsScratch: make([]*core, 0, cfg.Threads()),
 	}
+	ch.clockPJ = float64(cfg.Modules) * pm.ClockPJPerModuleCycle
 	horizon := cfg.MemLat + 64
 	g := 0
 	for mi := 0; mi < cfg.Modules; mi++ {
@@ -200,6 +215,7 @@ func NewChip(cfg uarch.ChipConfig, pm power.Model) (*Chip, error) {
 func (ch *Chip) Reset() {
 	ch.cycle = 0
 	ch.throttle = ch.cfg.FPThrottleLimit
+	ch.probing, ch.recording, ch.locked = false, false, false
 	ch.res = CycleResult{}
 	ch.barriers = ch.barriers[:0]
 	for id := range ch.barrierIdx {
@@ -307,6 +323,9 @@ func (ch *Chip) InjectStall(globalCore int, cycles uint64) error {
 	if err != nil {
 		return err
 	}
+	if ch.locked {
+		return fmt.Errorf("cpu: stall injected into a schedule-locked chip")
+	}
 	until := ch.cycle + cycles
 	if until > c.stallUntil {
 		c.stallUntil = until
@@ -326,25 +345,46 @@ func (ch *Chip) coreByGlobal(g int) (*core, error) {
 }
 
 // StateFingerprint hashes the chip's cycle-relative control state:
-// per-thread program counters and lookahead, queue occupancies,
-// stall/divider/MSHR deadlines relative to the current cycle, barrier
-// waits, predictor history and FP arbitration tokens. In the steady
-// state of a loop this value recurs with the loop, which is what the
-// testbed's trace-periodicity detector keys on. It is deliberately
-// approximate — register file contents and completion-table details
-// are excluded for speed — so equal fingerprints are a candidate
-// period, not a proof; the detector verifies candidates against the
-// recorded trace bit-for-bit before trusting them.
+// per-thread program counters, lookahead and zero flag, queue
+// occupancies, stall/divider/MSHR deadlines relative to the current
+// cycle, barrier waits, predictor history and FP arbitration tokens. In
+// the steady state of a loop this value recurs with the loop, which is
+// what the testbed's trace-periodicity detector keys on. It is
+// deliberately approximate — register file contents and
+// completion-table details are excluded for speed — so equal
+// fingerprints are a candidate period, not a proof; the detector
+// verifies candidates against the recorded trace bit-for-bit before
+// trusting them.
 func (ch *Chip) StateFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h ^= v
-		h *= prime64
+	state, _ := ch.Fingerprints()
+	return state
+}
+
+// Fingerprints returns StateFingerprint and the timing fingerprint: the
+// same hash with every thread's zero flag left out, so that it does not
+// see the data a loop computes. The timing fingerprint proposes
+// schedule-lock candidates (lock.go); it is 0 once the chip is locked.
+func (ch *Chip) Fingerprints() (state, timing uint64) {
+	if ch.locked {
+		return ch.lk.stateFingerprint(ch), 0
 	}
+	ch.fpWords = ch.appendFPWords(ch.fpWords[:0])
+	return ch.stateHash(ch.fpWords), fnvWords(ch.fpWords)
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+	// zeroFlagBit is the zero flag's bit in a thread's fingerprint word.
+	zeroFlagBit = 1 << 3
+	// fpCoreWords is the number of fingerprint words per core.
+	fpCoreWords = 7
+)
+
+// appendFPWords appends the fingerprint's control words: per module the
+// FP token, then fpCoreWords per core. Thread words carry no zero flag;
+// stateHash adds each thread's live flag.
+func (ch *Chip) appendFPWords(b []uint64) []uint64 {
 	now := ch.cycle
 	rel := func(until uint64) uint64 {
 		if until > now {
@@ -353,24 +393,53 @@ func (ch *Chip) StateFingerprint() uint64 {
 		return 0
 	}
 	for _, m := range ch.modules {
-		mix(uint64(m.fpToken))
+		b = append(b, uint64(m.fpToken))
 		for _, c := range m.cores {
+			th := ^uint64(0)
 			if c.th != nil {
-				mix(c.th.stateFP())
-			} else {
-				mix(^uint64(0))
+				th = c.th.stateFP() &^ zeroFlagBit
 			}
-			mix(uint64(len(c.intQ))<<32 | uint64(len(c.fpQ))<<16 | uint64(uint16(c.lsq)))
-			mix(rel(c.stallUntil))
-			mix(rel(c.idivBusyUntil))
-			mix(uint64(c.waitBarrier + 1))
-			mix(uint64(c.ghist))
 			var mm uint64
 			for _, t := range c.mshr {
 				mm = mm*31 + rel(t)
 			}
-			mix(mm)
+			b = append(b, th,
+				uint64(len(c.intQ))<<32|uint64(len(c.fpQ))<<16|uint64(uint16(c.lsq)),
+				rel(c.stallUntil), rel(c.idivBusyUntil), uint64(c.waitBarrier+1),
+				uint64(c.ghist), mm)
 		}
+	}
+	return b
+}
+
+// stateHash folds fingerprint words into StateFingerprint, setting each
+// attached thread's live zero flag in its word.
+func (ch *Chip) stateHash(words []uint64) uint64 {
+	h := uint64(fnvOffset64)
+	i := 0
+	for _, m := range ch.modules {
+		h = (h ^ words[i]) * fnvPrime64
+		i++
+		for _, c := range m.cores {
+			w := words[i]
+			if c.th != nil && c.th.zeroFlag {
+				w |= zeroFlagBit
+			}
+			h = (h ^ w) * fnvPrime64
+			for _, v := range words[i+1 : i+fpCoreWords] {
+				h = (h ^ v) * fnvPrime64
+			}
+			i += fpCoreWords
+		}
+	}
+	return h
+}
+
+// fnvWords folds words into an FNV-1a style hash.
+func fnvWords(words []uint64) uint64 {
+	h := uint64(fnvOffset64)
+	for _, v := range words {
+		h = (h ^ v) * fnvPrime64
 	}
 	return h
 }
@@ -385,6 +454,9 @@ type Stats struct {
 
 // Stats aggregates counters across cores and cache levels.
 func (ch *Chip) Stats() Stats {
+	if ch.locked {
+		return ch.lk.statsAt()
+	}
 	var s Stats
 	for _, m := range ch.modules {
 		h, mi := m.l2.Stats()
@@ -404,6 +476,9 @@ func (ch *Chip) Stats() Stats {
 
 // Retired returns total dynamic instructions consumed chip-wide.
 func (ch *Chip) Retired() uint64 {
+	if ch.locked {
+		return ch.lk.retiredAt(-1)
+	}
 	var n uint64
 	for _, m := range ch.modules {
 		for _, c := range m.cores {
@@ -419,12 +494,20 @@ func (ch *Chip) CoreRetired(globalCore int) uint64 {
 	if err != nil {
 		return 0
 	}
+	if ch.locked && c.th != nil {
+		return ch.lk.retiredAt(int(c.lockIdx))
+	}
 	return c.retired
 }
 
 // Done reports whether every attached thread has finished and all
 // queues have drained.
 func (ch *Chip) Done() bool {
+	if ch.locked {
+		// The lock's counter check proves no thread ends inside the
+		// window.
+		return false
+	}
 	for _, m := range ch.modules {
 		for _, c := range m.cores {
 			if c.th == nil {
@@ -441,6 +524,9 @@ func (ch *Chip) Done() bool {
 // Step advances the chip by one clock cycle and returns the cycle's
 // activity and energy.
 func (ch *Chip) Step() CycleResult {
+	if ch.locked {
+		return ch.stepLocked()
+	}
 	ch.res = CycleResult{}
 	now := ch.cycle
 
@@ -455,6 +541,10 @@ func (ch *Chip) Step() CycleResult {
 	for _, m := range ch.modules {
 		m.decode(now)
 	}
+	if ch.recording {
+		// Decode adds only constants, from zero: one recorded prefix.
+		ch.lk.prefix = ch.res.EnergyPJ
+	}
 	// Back ends: integer clusters then the FP cluster(s).
 	for _, m := range ch.modules {
 		for _, c := range m.cores {
@@ -466,20 +556,22 @@ func (ch *Chip) Step() CycleResult {
 	ch.releaseBarriers(now)
 
 	// Machine-level energy.
-	e := &ch.res.EnergyPJ
-	*e += float64(len(ch.modules)) * ch.pm.ClockPJPerModuleCycle
+	ch.addMachinePJ(ch.clockPJ)
 	for _, m := range ch.modules {
 		if !m.fpIssued {
-			*e += ch.pm.FPIdlePJPerCycle
+			ch.addMachinePJ(ch.pm.FPIdlePJPerCycle)
 		}
 		for _, c := range m.cores {
 			if c.activeNow {
-				*e += ch.pm.CorePJPerActiveCycle
+				ch.addMachinePJ(ch.pm.CorePJPerActiveCycle)
 			}
 		}
 	}
 
 	ch.cycle++
+	if ch.recording {
+		ch.recordCycle()
+	}
 	return ch.res
 }
 
@@ -801,18 +893,36 @@ func (c *core) execute(u *Uop, now uint64, unit isa.Unit) {
 		cc = c.busSlot(cc)
 		c.complete(u.Seq+1, cc)
 	}
-	// Toggle-scaled execution energy. The expression keeps the
-	// interpreter's exact shape — only 1-ToggleFraction is folded at
-	// template compile, which is the same subtraction on the same
-	// operands.
-	frac := 0.7*isa.ToggleFractionOf(c.lastSrc[unit], u.SrcA) +
-		0.3*isa.ToggleFractionOf(c.lastRes[unit], u.Result)
-	c.lastSrc[unit], c.lastRes[unit] = u.SrcA, u.Result
-	eff := tpl.energyPJ * (tpl.oneMinusTF + tpl.toggleTF*frac)
+	if ch.recording {
+		ch.lk.noteIssue(c, u, &c.lastSrc[unit], &c.lastRes[unit])
+	}
+	eff := toggleEnergy(tpl, &c.lastSrc[unit], &c.lastRes[unit], u.SrcA, u.Result)
 	ch.res.EnergyPJ += eff + ch.pm.SchedPJPerIssue + extraPJ
 	ch.res.UnitIssues[unit]++
 	c.retired++
 	c.activeNow = true
+}
+
+// toggleEnergy returns an issued uop's toggle-scaled execution energy
+// and moves the unit's last-operand state to the uop's values. The
+// expression keeps the interpreter's exact shape — only
+// 1-ToggleFraction is folded at template compile, which is the same
+// subtraction on the same operands — and the locked replay calls this
+// same function, so both paths run one sequence of float operations.
+func toggleEnergy(tpl *uopTemplate, lastSrc, lastRes *isa.Value, src, res isa.Value) float64 {
+	frac := 0.7*isa.ToggleFractionOf(*lastSrc, src) +
+		0.3*isa.ToggleFractionOf(*lastRes, res)
+	*lastSrc, *lastRes = src, res
+	return tpl.energyPJ * (tpl.oneMinusTF + tpl.toggleTF*frac)
+}
+
+// addMachinePJ adds one machine-level energy term to the cycle, noting
+// it while a proven lock period is recorded.
+func (ch *Chip) addMachinePJ(pj float64) {
+	ch.res.EnergyPJ += pj
+	if ch.recording {
+		ch.lk.consts = append(ch.lk.consts, pj)
+	}
 }
 
 // busSlot books a register-file write port at or after cycle cc.
@@ -902,10 +1012,10 @@ func (c *core) executeFP(u *Uop, now uint64) {
 		cc = c.busSlot(cc)
 		c.complete(u.Seq+1, cc)
 	}
-	frac := 0.7*isa.ToggleFractionOf(m.fpLastSrc, u.SrcA) +
-		0.3*isa.ToggleFractionOf(m.fpLastRes, u.Result)
-	m.fpLastSrc, m.fpLastRes = u.SrcA, u.Result
-	eff := tpl.energyPJ * (tpl.oneMinusTF + tpl.toggleTF*frac)
+	if ch.recording {
+		ch.lk.noteIssue(c, u, &m.fpLastSrc, &m.fpLastRes)
+	}
+	eff := toggleEnergy(tpl, &m.fpLastSrc, &m.fpLastRes, u.SrcA, u.Result)
 	ch.res.EnergyPJ += eff + ch.pm.SchedPJPerIssue
 	ch.res.UnitIssues[isa.UnitFPU]++
 	m.fpIssued = true

@@ -38,6 +38,7 @@ const (
 type uopTemplate struct {
 	in   *isa.Instruction
 	exec isa.ExecFn
+	pc   int32 // index of the static instruction
 
 	class isa.Class
 	unit  isa.Unit
@@ -63,6 +64,7 @@ type uopTemplate struct {
 
 	branchKind uint8
 	backBranch bool
+	inLoop     bool // in the steady-state loop (checkLoop)
 	target     int
 	btHash     uint32 // predictor index base (static per branch site)
 
@@ -86,6 +88,7 @@ func compileTemplates(p *asm.Program) []uopTemplate {
 		op := in.Op
 		t := &tmpl[pc]
 		t.in = in
+		t.pc = int32(pc)
 		t.exec = isa.KernelOf(in)
 		t.class = op.Class
 		t.unit = op.Unit
@@ -172,4 +175,108 @@ func compileTemplates(p *asm.Program) []uopTemplate {
 		}
 	}
 	return tmpl
+}
+
+// loopCheck is the static half of the schedule lock (lock.go): a proof,
+// made once per program when its templates are compiled, that the
+// steady-state loop's timing cannot depend on data values. The runtime
+// half re-checks the loop counters against the cycles left when a lock
+// is taken.
+type loopCheck struct {
+	// ok: the program has a steady-state loop and it passes every rule
+	// below; the loop's instructions carry uopTemplate.inLoop.
+	ok bool
+	// counter marks the loop-counter registers: every conditional
+	// branch in the loop reads the zero flag of a dec of one of them.
+	counter [isa.TotalRegs]bool
+}
+
+// isCounterDec reports whether t decrements a GPR by one and sets the
+// zero flag from the result, as the loop closer's dec rcx does.
+func isCounterDec(t *uopTemplate) bool {
+	return t.in.Op.Name == "dec" && t.flagWrite && t.dstIsSrc && t.dstOldIdx == t.dstIdx
+}
+
+// checkLoop finds the steady-state loop — the cycle the program's
+// control flow enters when every branch is taken — and checks that its
+// timing is data-independent:
+//   - every conditional branch is reached only by falling through from a
+//     dec of a counter register, which is the only flag it reads;
+//   - no loop instruction writes a counter register except such decs;
+//   - no loop instruction writes a register any loop instruction uses
+//     as a memory base, so every access hits one fixed address;
+//   - latencies and issue intervals are template constants by
+//     construction, so they need no check.
+//
+// While a counter stays above zero every conditional branch is taken,
+// so the pc stream from any loop pc is fixed. The runtime check that no
+// counter can reach zero inside the locked window is lock.go's.
+func checkLoop(tmpl []uopTemplate) loopCheck {
+	var lc loopCheck
+	n := len(tmpl)
+	next := func(pc int) int {
+		if tmpl[pc].branchKind != brNone {
+			return tmpl[pc].target
+		}
+		return pc + 1
+	}
+	// n steps of the all-taken walk from pc 0 end inside its cycle,
+	// unless the walk leaves the program first.
+	pc := 0
+	for i := 0; i < n; i++ {
+		if pc < 0 || pc >= n {
+			return lc
+		}
+		pc = next(pc)
+	}
+	if pc < 0 || pc >= n {
+		return lc
+	}
+	for p := pc; !tmpl[p].inLoop; p = next(p) {
+		tmpl[p].inLoop = true
+	}
+	for p := range tmpl {
+		t := &tmpl[p]
+		if !t.inLoop || t.branchKind != brCond {
+			continue
+		}
+		if p == 0 || !tmpl[p-1].inLoop || !isCounterDec(&tmpl[p-1]) || isBranchTarget(tmpl, p) {
+			return lc
+		}
+		lc.counter[tmpl[p-1].dstIdx] = true
+	}
+	var written, otherWrite [isa.TotalRegs]bool
+	for p := range tmpl {
+		t := &tmpl[p]
+		if !t.inLoop || t.dstIdx < 0 {
+			continue
+		}
+		written[t.dstIdx] = true
+		if !isCounterDec(t) {
+			otherWrite[t.dstIdx] = true
+		}
+	}
+	for p := range tmpl {
+		t := &tmpl[p]
+		if t.inLoop && t.baseIdx >= 0 && written[t.baseIdx] {
+			return lc
+		}
+	}
+	for r, isCounter := range lc.counter {
+		if isCounter && otherWrite[r] {
+			return lc
+		}
+	}
+	lc.ok = true
+	return lc
+}
+
+// isBranchTarget reports whether any branch of the program jumps to pc.
+func isBranchTarget(tmpl []uopTemplate, pc int) bool {
+	for i := range tmpl {
+		if tmpl[i].branchKind != brNone && tmpl[i].target == pc {
+			return true
+		}
+	}
+	return false
 }

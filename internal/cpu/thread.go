@@ -45,6 +45,7 @@ const defaultMemBytes = 4096
 type Thread struct {
 	prog *asm.Program
 	tmpl []uopTemplate
+	loop loopCheck
 	pc   int
 	regs [isa.TotalRegs]isa.Value
 	mem  []byte
@@ -76,6 +77,7 @@ func NewThread(p *asm.Program, maxInstrs uint64) (*Thread, error) {
 	// Round to a multiple of 16 so 128-bit accesses can wrap cleanly.
 	memBytes = (memBytes + 15) &^ 15
 	t := &Thread{prog: p, tmpl: compileTemplates(p), mem: make([]byte, memBytes), maxInstrs: maxInstrs}
+	t.loop = checkLoop(t.tmpl)
 	for r, v := range p.InitRegs {
 		t.regs[r.FlatIndex()] = v
 	}
@@ -156,6 +158,22 @@ func (t *Thread) step(u *Uop) bool {
 	}
 	tpl := &t.tmpl[t.pc]
 	*u = Uop{In: tpl.in, tpl: tpl, BarrierID: -1, Seq: t.seq}
+	if tpl.class == isa.ClassBarrier {
+		u.BarrierID = tpl.barrierID
+	}
+	if tpl.branchKind != brNone {
+		u.BackBranch = tpl.backBranch
+	}
+	u.Addr, u.Taken, u.SrcA, u.Result = t.exec(tpl)
+	return true
+}
+
+// exec is the functional semantics of step: it executes the
+// instruction at pc (whose template is tpl), advances pc and seq, and
+// returns the uop's global address, branch outcome, toggle source and
+// result. The schedule-locked replay (lock.go) calls it directly, as it
+// needs only the data.
+func (t *Thread) exec(tpl *uopTemplate) (addr uint64, taken bool, srcA, result isa.Value) {
 	t.seq++
 
 	// Resolve address for memory-shaped ops.
@@ -163,7 +181,7 @@ func (t *Thread) step(u *Uop) bool {
 	if tpl.baseIdx >= 0 {
 		localAddr = (t.regs[tpl.baseIdx].Lo + tpl.disp) % uint64(len(t.mem))
 		localAddr &^= 15
-		u.Addr = t.globalBase + localAddr
+		addr = t.globalBase + localAddr
 	}
 
 	var dstOld, src1, src2, memv isa.Value
@@ -182,42 +200,38 @@ func (t *Thread) step(u *Uop) bool {
 		memv = t.load(localAddr)
 	case isa.ClassStore:
 		t.store(localAddr, src1)
-	case isa.ClassBarrier:
-		u.BarrierID = tpl.barrierID
 	}
 
 	// Primary source for toggle accounting: prefer an explicit source,
 	// else the old destination, else the memory value.
 	switch tpl.srcASel {
 	case srcASrc1:
-		u.SrcA = src1
+		srcA = src1
 	case srcADstOld:
-		u.SrcA = dstOld
+		srcA = dstOld
 	case srcAMem:
-		u.SrcA = memv
+		srcA = memv
 	}
 
 	if tpl.branchKind != brNone {
-		u.Taken = tpl.branchKind != brCond || !t.zeroFlag
-		u.BackBranch = tpl.backBranch
-		if u.Taken {
+		taken = tpl.branchKind != brCond || !t.zeroFlag
+		if taken {
 			t.pc = tpl.target
 		} else {
 			t.pc++
 		}
-		return true
+		return addr, taken, srcA, result
 	}
 
-	res := tpl.exec(dstOld, src1, src2, t.globalBase+localAddr, memv)
-	u.Result = res
+	result = tpl.exec(dstOld, src1, src2, t.globalBase+localAddr, memv)
 	if tpl.dstIdx >= 0 {
-		t.regs[tpl.dstIdx] = res
+		t.regs[tpl.dstIdx] = result
 		if tpl.flagWrite {
-			t.zeroFlag = res.Lo == 0
+			t.zeroFlag = result.Lo == 0
 		}
 	}
 	t.pc++
-	return true
+	return addr, taken, srcA, result
 }
 
 // flagWriting reports whether the class updates the zero flag, matching

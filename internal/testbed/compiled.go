@@ -49,6 +49,10 @@ type CompiledPlatform struct {
 	store     *tracestore.Store
 	tier      TraceTier
 	storeSalt []byte
+
+	// lockPlan, when set, replaces the schedule-lock candidate search
+	// of every capture (see lockSearch.plan); tests only.
+	lockPlan func(b int, fp uint64) int
 }
 
 // romOK reports whether the platform's declared voltage tolerance

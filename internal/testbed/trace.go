@@ -26,12 +26,26 @@ import (
 // periods AND the chip's retired/branch/cache counters advance by
 // identical per-period deltas — the cycles are being recorded anyway,
 // so verification costs nothing beyond running 2 extra periods.
-// Programs whose energy is not exactly periodic (the generated dec/jnz
-// loop closers toggle a monotone counter, making dec's toggle energy
-// follow the binary ruler sequence) fail verification and fall back to
-// a full-length trace, which still replays bit-identically and still
-// caches; truly periodic loops (jmp-closed) stop the chip after
-// head + 3 periods.
+// Programs whose energy is not exactly periodic fail verification and
+// fall back to a full-length trace, which still replays bit-identically
+// and still caches; truly periodic loops stop the chip after
+// head + 3 periods. Generated stressmarks are almost never periodic:
+// their issue schedule repeats, but execution energy is toggle-scaled
+// on operand bits, and the GA's accumulator registers never revisit a
+// value.
+//
+// Their schedule is what the schedule lock (cpu/lock.go) exploits. A
+// second search (lockSearch) runs over the timing fingerprint — the
+// same state without the threads' zero flags, mixed with the issue
+// record and dither phases but not the energy. Where that fingerprint
+// recurs, the chip starts a probe, and at a later recurrence that
+// closes a period P it proves the lock if its relative timing state is
+// equal at both ends, the period had no L1 miss, and no loop counter
+// can run out before the capture ends. It then records one period, and
+// from there on each cycle replays the recorded schedule with live
+// functional execution and toggle energy, bit-identical to the full
+// model. The whole-trace detector above sees the same fingerprint,
+// counter and trace stream either way, so its verdict cannot change.
 
 const (
 	// traceMaxCycles bounds replay-eligible runs: 16 bytes/cycle keeps
@@ -45,6 +59,13 @@ const (
 	// detectMaxAttempts bounds failed candidate verifications before
 	// detection is disabled for the run (the trace is still recorded).
 	detectMaxAttempts = 8
+	// lockMaxAttempts bounds failed schedule-lock probes per capture,
+	// and lockProbeMax the cycles one probe runs before it gives up.
+	lockMaxAttempts = 16
+	lockProbeMax    = 512
+	// lockSlotBits sizes lockSearch's recurrence table.
+	lockSlotBits = 10
+	lockSlots    = 1 << lockSlotBits
 )
 
 // errTraceUnsupported routes a run back to the exact cycle loop when
@@ -269,12 +290,13 @@ func mix64(h, v uint64) uint64 {
 // of the trace is bit-identical to the exact loop.
 func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error) {
 	start := time.Now()
+	var lockedCycles uint64
 	defer func() {
 		d := uint64(time.Since(start).Nanoseconds())
 		if tr_ != nil {
 			tr_.captureNS = d
 		}
-		cp.traces.noteCapture(d)
+		cp.traces.noteCapture(d, lockedCycles)
 	}()
 	chip, err := cp.getChip()
 	if err != nil {
@@ -319,16 +341,29 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 	if detect {
 		det = &periodDetector{maxCycles: maxCycles}
 	}
+	// The schedule lock needs the same unbounded threads, one program
+	// on every thread, and dither that injects on a fixed period.
+	lock := lockSearch{off: !detect || !homogeneous(rc), plan: cp.lockPlan}
+	for _, d := range rc.Dither {
+		if d.PeriodCycles == 0 {
+			lock.off = true
+		}
+	}
 
 	for cyc := uint64(0); cyc < maxCycles; cyc++ {
-		if chip.Done() {
+		locked := chip.Locked()
+		if !locked && chip.Done() {
 			tr.done = true
 			break
 		}
 		for i := range rc.Dither {
 			if cyc >= nextPad[i] {
-				if err := chip.InjectStall(rc.Dither[i].Core, rc.Dither[i].PadCycles); err != nil {
-					return nil, err
+				// A locked chip's recorded period already holds the
+				// injection (the probe proved it repeats with P).
+				if !locked {
+					if err := chip.InjectStall(rc.Dither[i].Core, rc.Dither[i].PadCycles); err != nil {
+						return nil, err
+					}
 				}
 				nextPad[i] += rc.Dither[i].PeriodCycles
 			}
@@ -343,14 +378,26 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 		tr.energy = append(tr.energy, res.EnergyPJ)
 		tr.issues = append(tr.issues, packed)
 		// A disabled detector ignores every later boundary, so the
-		// fingerprint is only computed while detection is live.
-		if det != nil && !det.disabled {
+		// fingerprints are only computed while a search is live.
+		live := det != nil && !det.disabled
+		if !live && lock.off {
+			continue
+		}
+		state, timing := chip.Fingerprints()
+		var phases uint64 = 1
+		for i := range nextPad {
+			phases = mix64(phases, nextPad[i]-(cyc+1))
+		}
+		if !lock.off {
+			lock.observe(len(tr.energy), mix64(mix64(timing, packed), phases), chip, rc.Dither, maxCycles)
+		}
+		if live {
 			// The fingerprint mixes the approximate control state with
 			// this cycle's exact trace record (capturing data-toggle
 			// activity compactly) and the dither phases — so a detected
 			// period is automatically a common multiple of every dither
 			// period (LCM folding).
-			fp := mix64(chip.StateFingerprint(), math.Float64bits(res.EnergyPJ))
+			fp := mix64(state, math.Float64bits(res.EnergyPJ))
 			fp = mix64(fp, packed)
 			for i := range nextPad {
 				fp = mix64(fp, nextPad[i]-(cyc+1))
@@ -360,12 +407,113 @@ func (cp *CompiledPlatform) buildTrace(rc RunConfig) (tr_ *chipTrace, err_ error
 			}
 		}
 	}
+	lockedCycles = chip.LockedCycles()
 	if !tr.periodic {
 		tr.endStats, tr.endRetired = chip.Stats(), chip.Retired()
 	}
 	tr.noteMaxEnergy()
 	cp.chips.Put(chip)
 	return tr, nil
+}
+
+// homogeneous reports whether every thread runs the same program.
+func homogeneous(rc RunConfig) bool {
+	for _, ts := range rc.Threads {
+		if ts.Program != rc.Threads[0].Program {
+			return false
+		}
+	}
+	return true
+}
+
+// lockSearch proposes schedule-lock candidates and probes them on the
+// chip (cpu.Chip's BeginLockProbe / TryLock), which proves or refutes
+// each. A probe starts at the first boundary whose timing fingerprint
+// has been seen before, looked up in a direct-mapped table of recent
+// boundaries, and is tested as a period at every later boundary with
+// the same fingerprint until it proves a period or outgrows
+// lockProbeMax. So a lock is proven about two periods after the
+// schedule settles (the chip then records one more before it locks),
+// and a fingerprint that recurs more often than the state it
+// summarises still locks at the state's own period.
+type lockSearch struct {
+	off      bool
+	attempts int
+
+	// Slot fp>>(64-lockSlotBits) holds the last boundary with fingerprint fp.
+	fps  [lockSlots]uint64
+	seen [lockSlots]int32
+
+	// probeAt and probeFP are the boundary and fingerprint a running
+	// probe started at (probeAt 0: none).
+	probeAt int
+	probeFP uint64
+
+	// plan, when set, replaces the table: it sees every boundary's
+	// timing fingerprint and returns the period to probe there (0 for
+	// none), tested at that distance only. Tests use it to force locks.
+	plan      func(b int, fp uint64) int
+	planProbe int
+}
+
+// observe feeds boundary b's timing fingerprint.
+func (ls *lockSearch) observe(b int, fp uint64, chip *cpu.Chip, dither []DitherSpec, maxCycles uint64) {
+	start := false
+	if ls.plan != nil {
+		if p := ls.plan(b, fp); p > 0 && ls.probeAt == 0 {
+			start, ls.planProbe = true, p
+		}
+	} else {
+		// FNV's low bits see only the inputs' low bits: index by
+		// the high ones.
+		slot := fp >> (64 - lockSlotBits)
+		start = ls.fps[slot] == fp && ls.seen[slot] > 0
+		ls.fps[slot], ls.seen[slot] = fp, int32(b)
+	}
+	if ls.probeAt > 0 {
+		p := b - ls.probeAt
+		try := fp == ls.probeFP
+		if ls.plan != nil {
+			try = p == ls.planProbe
+		}
+		if try && ditherRepeats(dither, p) {
+			if chip.TryLock() {
+				ls.off = true
+				return
+			}
+		}
+		limit := lockProbeMax
+		if ls.plan != nil {
+			limit = ls.planProbe
+		}
+		if p < limit {
+			return
+		}
+		chip.AbortLockProbe()
+		ls.probeAt = 0
+		if ls.attempts++; ls.attempts >= lockMaxAttempts {
+			ls.off = true
+			return
+		}
+	}
+	if start && uint64(b) < maxCycles {
+		if !chip.BeginLockProbe(maxCycles - uint64(b)) {
+			ls.off = true
+			return
+		}
+		ls.probeAt, ls.probeFP = b, fp
+	}
+}
+
+// ditherRepeats reports whether every dither injection repeats with
+// period p, so that a recorded period holds them all.
+func ditherRepeats(dither []DitherSpec, p int) bool {
+	for _, d := range dither {
+		if uint64(p)%d.PeriodCycles != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // traceKey fingerprints everything phase 1 depends on: per-thread
@@ -472,6 +620,10 @@ type TraceStats struct {
 	// Captures counts phase-1 buildTrace invocations — the recaptures
 	// the caches failed to prevent. A warm run reports zero.
 	Captures uint64
+	// LockedCaptures counts the captures that took a schedule lock, and
+	// LockedCycles the cycles they replayed locked rather than ran on
+	// the full chip model. Deterministic, like Captures.
+	LockedCaptures, LockedCycles uint64
 	// CaptureNS and ReplayNS split the fast path's wall time between
 	// phase-1 capture (buildTrace) and phase-2 PDN replay, in
 	// nanoseconds summed across workers. Wall-clock derived: excluded
@@ -508,6 +660,7 @@ type traceCache struct {
 	storeHits, storeMisses             uint64
 	tierHits, tierMisses, wireBytes    uint64
 	captureSavedNS, captures           uint64
+	lockedCaptures, lockedCycles       uint64
 	captureNS, replayNS                uint64
 	romReplays, exactReplays           uint64
 	periodicReplays, modalPeriodic     uint64
@@ -648,11 +801,16 @@ func (tc *traceCache) noteWire(wire uint64) {
 	tc.mu.Unlock()
 }
 
-// noteCapture charges one phase-1 capture of duration d.
-func (tc *traceCache) noteCapture(d uint64) {
+// noteCapture charges one phase-1 capture of duration d that replayed
+// lockedCycles cycles under a schedule lock.
+func (tc *traceCache) noteCapture(d, lockedCycles uint64) {
 	tc.mu.Lock()
 	tc.captures++
 	tc.captureNS += d
+	if lockedCycles > 0 {
+		tc.lockedCaptures++
+		tc.lockedCycles += lockedCycles
+	}
 	tc.mu.Unlock()
 }
 
@@ -709,7 +867,8 @@ func (tc *traceCache) stats() TraceStats {
 		StoreHits:        tc.storeHits, StoreMisses: tc.storeMisses,
 		TierHits: tc.tierHits, TierMisses: tc.tierMisses,
 		WireBytes: tc.wireBytes, CaptureNSSaved: tc.captureSavedNS,
-		Captures:  tc.captures,
+		Captures:       tc.captures,
+		LockedCaptures: tc.lockedCaptures, LockedCycles: tc.lockedCycles,
 		CaptureNS: tc.captureNS, ReplayNS: tc.replayNS, Bytes: tc.used}
 	for _, tr := range tc.m {
 		if tr.periodic {

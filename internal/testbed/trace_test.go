@@ -7,13 +7,16 @@ import "testing"
 // its two pre-sized streams, and per thread the Thread, its data
 // segment, its uop templates and their exec kernels (19 in all). The
 // per-cycle loop itself must contribute nothing, so the count is
-// independent of MaxCycles.
+// independent of MaxCycles. The schedule lock's record, rings and
+// snapshots live with the pooled chip, so a locked capture is held to
+// the same bar.
 const maxBuildTraceAllocs = 20
 
 // TestBuildTraceAllocs is the testbed half of the deterministic capture
 // allocation gate: an 8k-cycle dec/jnz run (which never verifies
-// periodic, so the chip steps every cycle) allocates a fixed small
-// count, not a count that grows with the cycles stepped.
+// periodic) allocates a fixed small count, not a count that grows with
+// the cycles stepped — both when the chip runs every cycle and when it
+// takes a schedule lock and replays most of the run.
 func TestBuildTraceAllocs(t *testing.T) {
 	p := Bulldozer()
 	cp, err := p.Compile()
@@ -33,18 +36,27 @@ func TestBuildTraceAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.chips.New = func() any { return chip }
-	var tr *chipTrace
-	n := testing.AllocsPerRun(10, func() {
-		if tr, err = cp.buildTrace(rc); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		plan func(int, uint64) int
+	}{{"full", neverLock}, {"locked", nil}} {
+		var tr *chipTrace
+		var locked uint64
+		n := testing.AllocsPerRun(10, func() {
+			if tr, locked, err = cp.captureWithPlan(rc, tc.plan); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if tr.periodic || tr.done || len(tr.energy) != int(rc.MaxCycles) {
+			t.Fatalf("%s: trace periodic=%v done=%v len=%d, want a full %d-cycle aperiodic trace",
+				tc.name, tr.periodic, tr.done, len(tr.energy), rc.MaxCycles)
 		}
-	})
-	if tr.periodic || tr.done || len(tr.energy) != int(rc.MaxCycles) {
-		t.Fatalf("trace periodic=%v done=%v len=%d, want a full %d-cycle aperiodic trace",
-			tr.periodic, tr.done, len(tr.energy), rc.MaxCycles)
-	}
-	t.Logf("buildTrace: %v allocs per 8k-cycle capture", n)
-	if n > maxBuildTraceAllocs {
-		t.Errorf("buildTrace allocates %v times per 8k-cycle capture, want ≤ %d", n, maxBuildTraceAllocs)
+		if (locked > rc.MaxCycles/2) != (tc.plan == nil) {
+			t.Fatalf("%s: %d of %d cycles locked", tc.name, locked, rc.MaxCycles)
+		}
+		t.Logf("buildTrace (%s, %d cycles locked): %v allocs per 8k-cycle capture", tc.name, locked, n)
+		if n > maxBuildTraceAllocs {
+			t.Errorf("%s: buildTrace allocates %v times per 8k-cycle capture, want ≤ %d", tc.name, n, maxBuildTraceAllocs)
+		}
 	}
 }

@@ -25,6 +25,7 @@ fi
 # Every benchmark the gate covers. A rename or deletion must show up
 # here as a hard failure, not silently shrink the gate.
 gated=(
+  BenchmarkBuildTraceLocked
   BenchmarkCaptureHotLoop
   BenchmarkEvalColdVsCompiled
   BenchmarkGARunMemoized
